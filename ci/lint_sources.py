@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Banned-pattern lint for the store and explore crates.
+"""Banned-pattern lint for the store, explore and checking-layer sources.
 
 Rules (each violation prints one `path:line: message` and fails the run):
 
@@ -7,12 +7,14 @@ Rules (each violation prints one `path:line: message` and fails the run):
    The simulated store is the part of the tree that must never die with
    a context-free panic: use a typed error or a justified `expect("...")`
    that states the invariant making the failure impossible.
-2. No `panic!(` in *non-test* code of `crates/store/src` and
-   `crates/explore/src`. Invariant breaches are `unreachable!("...")`
+2. No `panic!(` in *non-test* code of `crates/store/src`,
+   `crates/explore/src`, `crates/history/src/check` and
+   `crates/analysis/src`. Invariant breaches are `unreachable!("...")`
    (they document why the arm cannot be taken); expected failures are
    typed errors. Test modules (`#[cfg(test)]` to end of file) and
    `tests/` directories keep their panics — that is what tests are for.
-3. No `.unwrap(` in non-test `crates/explore/src` code.
+3. No `.unwrap(` in non-test code of `crates/explore/src`,
+   `crates/history/src/check` and `crates/analysis/src`.
 4. No `Instant::now` / `SystemTime` in `crates/store/src/simulation.rs`:
    simulated time is logical by construction, and a single wall-clock
    read would silently break run-to-run determinism.
@@ -89,21 +91,27 @@ def main() -> int:
             non_test_only=True,
         )
 
-    for f in rust_sources(explore_src):
-        violations += lint_file(
-            f,
-            UNWRAP,
-            "`.unwrap(` is banned in non-test explore code — use a "
-            'typed error or a justified `expect("...")`',
-            non_test_only=True,
-        )
-        violations += lint_file(
-            f,
-            PANIC,
-            "`panic!` is banned in non-test explore code — use "
-            '`unreachable!("...")` for invariants or a typed error',
-            non_test_only=True,
-        )
+    non_test_roots = [
+        ("explore", explore_src),
+        ("checking", REPO / "crates" / "history" / "src" / "check"),
+        ("analysis", REPO / "crates" / "analysis" / "src"),
+    ]
+    for layer, root in non_test_roots:
+        for f in rust_sources(root):
+            violations += lint_file(
+                f,
+                UNWRAP,
+                f"`.unwrap(` is banned in non-test {layer} code — use a "
+                'typed error or a justified `expect("...")`',
+                non_test_only=True,
+            )
+            violations += lint_file(
+                f,
+                PANIC,
+                f"`panic!` is banned in non-test {layer} code — use "
+                '`unreachable!("...")` for invariants or a typed error',
+                non_test_only=True,
+            )
 
     violations += lint_file(
         store_src / "simulation.rs",

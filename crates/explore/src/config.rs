@@ -48,7 +48,7 @@ pub struct ExploreConfig {
     /// verbatim (an explicit `1` still means the serial algorithm).
     pub workers_explicit: bool,
     /// Memoise consistency verdicts by history fingerprint inside the
-    /// per-level engines. Disabling this (the `no-memo` ablation) makes
+    /// consistency engines. Disabling this (the `no-memo` ablation) makes
     /// every check run the decision procedure — though still over the
     /// engine's incrementally synced index, so it isolates the memo's
     /// contribution, not the full cost of the old stateless checkers;

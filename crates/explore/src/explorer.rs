@@ -9,8 +9,8 @@ use std::time::Instant;
 
 use txdpor_analysis::{DecomposingChecker, ProgramFootprints};
 use txdpor_history::{
-    engine_for_spec_with, ConsistencyChecker, EdgeReason, Event, EventId, EventKind, History,
-    HistoryFingerprint, SessionId, SharedMemo, TxId, Var, VarTable, Verdict,
+    engine_for_spec_with, ConsistencyChecker, Event, EventId, EventKind, History,
+    HistoryFingerprint, SessionId, SharedMemo, TxId, VarTable, Verdict,
 };
 use txdpor_program::{
     initial_history, oracle_next, replay_all, Program, SchedulerStep, SemanticsError, TxStep,
@@ -171,16 +171,18 @@ fn explore_parallel(
     // entirely).
     let spawn = config.spawn_workers(frontier.len()).min(workers);
     let deadline = seeder.deadline;
-    let vars_snapshot = seeder.vars.clone();
+    // One variable numbering for every worker: stolen nodes and
+    // `SharedMemo` keys carry variable ids across workers.
+    let shared_vars = Arc::new(Mutex::new(std::mem::take(&mut seeder.vars)));
     let pool: StealPool<OrderedHistory> = StealPool::new(spawn.max(1));
     pool.seed(frontier);
-    type WorkerResult = (ExplorationReport, HashSet<HistoryFingerprint>, VarTable);
+    type WorkerResult = (ExplorationReport, HashSet<HistoryFingerprint>);
     let results: Mutex<Vec<WorkerResult>> = Mutex::new(Vec::new());
     let failed = AtomicBool::new(false);
     let failure: Mutex<Option<ExploreError>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for i in 0..spawn {
-            let vars = vars_snapshot.clone();
+            let vars = VarTable::backed_by(Arc::clone(&shared_vars));
             let (pool, results, failed, failure) = (&pool, &results, &failed, &failure);
             let shared_memo = Arc::clone(&shared_memo);
             std::thread::Builder::new()
@@ -237,11 +239,10 @@ fn explore_parallel(
                         backoff.idle();
                     }
                     worker.record_engine_stats();
-                    results.lock().expect("results lock").push((
-                        worker.report,
-                        worker.seen,
-                        worker.vars,
-                    ));
+                    results
+                        .lock()
+                        .expect("results lock")
+                        .push((worker.report, worker.seen));
                 })
                 .expect("spawning an exploration worker succeeds");
         }
@@ -252,10 +253,9 @@ fn explore_parallel(
 
     seeder.record_engine_stats();
     let mut report = seeder.report;
-    let mut vars = seeder.vars;
     let mut seen = seeder.seen;
-    for (worker_report, worker_seen, worker_vars) in results.into_inner().expect("results lock") {
-        merge_worker(&mut report, &mut vars, worker_report, &worker_vars);
+    for (worker_report, worker_seen) in results.into_inner().expect("results lock") {
+        merge_worker(&mut report, worker_report);
         seen.extend(worker_seen);
     }
     if config.track_duplicates {
@@ -264,24 +264,16 @@ fn explore_parallel(
     report.duration = start.elapsed();
     report.workers = spawn.max(1);
     report.steals = pool.steals();
-    report.vars = vars;
+    report.vars = shared_vars
+        .lock()
+        .expect("workers only intern under the variable table's lock")
+        .clone();
     Ok(report)
 }
 
-/// Folds one worker's report into the merged report, translating the
-/// worker's variable identifiers into the merged [`VarTable`].
-fn merge_worker(
-    report: &mut ExplorationReport,
-    vars: &mut VarTable,
-    worker: ExplorationReport,
-    worker_vars: &VarTable,
-) {
-    // Worker variable id (dense, allocation-ordered) → merged variable id.
-    let map: Vec<Var> = worker_vars
-        .iter()
-        .map(|(_, name)| vars.intern(name))
-        .collect();
-    let remap = |x: Var| map[x.0 as usize];
+/// Folds one worker's report into the merged report. Workers share one
+/// variable numbering, so histories and cores merge as they are.
+fn merge_worker(report: &mut ExplorationReport, worker: ExplorationReport) {
     report.explore_calls += worker.explore_calls;
     report.end_states += worker.end_states;
     report.engine_checks += worker.engine_checks;
@@ -295,21 +287,12 @@ fn merge_worker(
     report.statically_pruned += worker.statically_pruned;
     report.components = report.components.max(worker.components);
     report.largest_component = report.largest_component.max(worker.largest_component);
-    report
-        .histories
-        .extend(worker.histories.iter().map(|h| h.map_vars(remap)));
+    report.histories.extend(worker.histories);
     if report.violating_history.is_none() {
-        report.violating_history = worker.violating_history.map(|h| h.map_vars(remap));
+        report.violating_history = worker.violating_history;
     }
     if report.first_rejection.is_none() {
-        report.first_rejection = worker.first_rejection.map(|mut v| {
-            for e in &mut v.cycle {
-                if let EdgeReason::Forced(i) = &mut e.reason {
-                    i.var = remap(i.var);
-                }
-            }
-            v
-        });
+        report.first_rejection = worker.first_rejection;
     }
 }
 
@@ -704,7 +687,7 @@ impl<'a> Explorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txdpor_history::IsolationLevel;
+    use txdpor_history::{IsolationLevel, Var};
     use txdpor_program::dsl::*;
 
     /// Fig. 10a: a reader of x and y against a writer of x and y.

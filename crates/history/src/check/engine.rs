@@ -9,8 +9,8 @@
 //!
 //! * every engine owns an **incrementally synced index** over the history
 //!   it last saw (transaction vertex tables, writers-per-variable lists,
-//!   axiom instances, word-packed reachability, the SER/SI per-transaction
-//!   view), kept current through the history's mutation-observer API — see
+//!   axiom instances, word-packed reachability, the commit-order search's
+//!   per-transaction view), kept current through the history's mutation-observer API — see
 //!   *Syncing from the delta log* below — so a check after one appended
 //!   event or one toggled wr edge pays delta cost, not a rebuild;
 //! * every engine owns a **result memo keyed by the rolling structural
@@ -59,18 +59,16 @@
 //! key bit) that grows geometrically up to [`MEMO_CAPACITY`] slots;
 //! colliding keys simply evict, so memory stays hard-bounded no matter how
 //! long the exploration runs. Scratch buffers (the one-pass saturation
-//! index of the weak engine, the failed-state tables of SER/SI) likewise
-//! survive arbitrarily many checkpoint/rollback cycles of the histories
-//! they are fed.
+//! index of the weak engine, the state vector and failed-state set of the
+//! commit-order search) likewise survive arbitrarily many
+//! checkpoint/rollback cycles of the histories they are fed.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::check::evidence::{self, Verdict};
-use crate::check::frontier::FrontierIndex;
+use crate::check::evidence::{self, Verdict, Witness};
 use crate::check::shared::SharedMemo;
-use crate::check::{mixed, pc, ser, si, weak};
+use crate::check::{mixed, weak};
 use crate::history::History;
 use crate::isolation::{IsolationLevel, LevelSpec};
 
@@ -158,10 +156,10 @@ impl EngineStats {
 /// fingerprint memo amortise across the whole exploration. The stateless
 /// entry points ([`crate::check::satisfies`],
 /// [`IsolationLevel::satisfies`], [`LevelSpec::satisfies`]) remain as thin
-/// wrappers over a fresh engine.
+/// wrappers over fresh indexes.
 pub trait ConsistencyChecker: Send {
-    /// The level specification this engine decides. Uniform for the
-    /// per-level engines; the mixed engine carries its full assignment.
+    /// The level specification this engine decides: uniform for the
+    /// trivial and weak engines, the full assignment for the mixed engine.
     fn spec(&self) -> LevelSpec;
 
     /// The single isolation level this engine decides.
@@ -186,16 +184,17 @@ pub trait ConsistencyChecker: Send {
     /// axiom instances that forced them) on failure — see
     /// [`crate::check::evidence`].
     ///
-    /// The boolean verdict still comes from the memoised fast path (this
-    /// call counts as a regular [`check`](ConsistencyChecker::check) in
-    /// [`stats`](ConsistencyChecker::stats)); the evidence is then
-    /// reconstructed on demand over fresh, engine-independent indexes, so
-    /// the 16-byte memo slots and the incremental state stay exactly as a
-    /// boolean check would leave them.
-    fn check_witnessed(&mut self, h: &History) -> Verdict {
-        let consistent = self.check(h);
-        evidence::reconstruct(h, &self.spec(), consistent)
-    }
+    /// The boolean verdict comes from the memoised fast path (this call
+    /// counts as a regular [`check`](ConsistencyChecker::check) in
+    /// [`stats`](ConsistencyChecker::stats)). A consistent verdict carries
+    /// the witness of the pass that decided it: the commit order the
+    /// search recorded, or the topological order of the weak engines'
+    /// synced index; a verdict served by the memo re-derives it from the
+    /// engine's own indexes. An inconsistent verdict's violation core is
+    /// reconstructed on demand over fresh indexes
+    /// ([`crate::check::evidence`]), so the 16-byte memo slots never store
+    /// evidence.
+    fn check_witnessed(&mut self, h: &History) -> Verdict;
 
     /// Attaches a cross-worker [`SharedMemo`]: the engine consults it
     /// before its private memo and publishes every fresh verdict to it,
@@ -230,9 +229,11 @@ pub fn engine_for_with(level: IsolationLevel, memoize: bool) -> Box<dyn Consiste
         IsolationLevel::ReadCommitted
         | IsolationLevel::ReadAtomic
         | IsolationLevel::CausalConsistency => Box::new(WeakEngine::new(level, memoize)),
-        IsolationLevel::Serializability => Box::new(SerEngine::new(memoize)),
-        IsolationLevel::SnapshotIsolation => Box::new(SiEngine::new(memoize)),
-        IsolationLevel::PrefixConsistency => Box::new(PcEngine::new(memoize)),
+        IsolationLevel::PrefixConsistency
+        | IsolationLevel::SnapshotIsolation
+        | IsolationLevel::Serializability => {
+            Box::new(MixedEngine::new(LevelSpec::uniform(level), memoize))
+        }
     }
 }
 
@@ -242,10 +243,9 @@ pub fn engine_for_spec(spec: &LevelSpec) -> Box<dyn ConsistencyChecker> {
     engine_for_spec_with(spec, true)
 }
 
-/// Creates the engine for a level specification. A *uniform* spec routes to
-/// the corresponding per-level engine ([`engine_for_with`]) so verdicts,
-/// counters and performance are bit-identical to the pre-spec stack; only
-/// genuinely mixed assignments pay for the [`MixedEngine`].
+/// Creates the engine for a level specification: [`engine_for_with`] for a
+/// uniform spec, the [`MixedEngine`] for a genuinely mixed one (uniform
+/// PC, SI and SER specs get a [`MixedEngine`] either way).
 pub fn engine_for_spec_with(spec: &LevelSpec, memoize: bool) -> Box<dyn ConsistencyChecker> {
     match spec.as_uniform() {
         Some(level) => engine_for_with(level, memoize),
@@ -295,8 +295,8 @@ impl Memo {
 
     /// Attaches a cross-worker shared memo. `salt` is XOR-folded into the
     /// first key word before every shared lookup/publish; engines whose
-    /// private keys already fold their spec hash pass 0, the per-level
-    /// engines pass their uniform spec's hash, so shared keys are
+    /// private keys already fold their spec hash pass 0, the weak engine
+    /// passes its uniform spec's hash, so shared keys are
     /// uniformly `live_hash ⊕ spec_hash` across all engine kinds.
     fn attach_shared(&mut self, memo: Arc<SharedMemo>, salt: u64) {
         self.shared = Some(memo);
@@ -402,6 +402,17 @@ impl ConsistencyChecker for TrivialEngine {
         true
     }
 
+    /// Any topological order of `so ∪ wr` witnesses the trivial level.
+    fn check_witnessed(&mut self, h: &History) -> Verdict {
+        self.check(h);
+        let mut idx = weak::WeakIndex::new_spec(LevelSpec::uniform(IsolationLevel::Trivial));
+        idx.sync(h);
+        let commit_order = idx
+            .witness_order()
+            .expect("a well-formed history's so ∪ wr is acyclic");
+        Verdict::Consistent(Witness { commit_order })
+    }
+
     fn stats(&self) -> EngineStats {
         self.stats
     }
@@ -471,6 +482,18 @@ impl ConsistencyChecker for WeakEngine {
         }
     }
 
+    /// The witness is a topological order of `so ∪ wr ∪ forced` over the
+    /// engine's own synced index.
+    fn check_witnessed(&mut self, h: &History) -> Verdict {
+        if self.check(h) {
+            self.idx.sync(h);
+            if let Some(commit_order) = self.idx.witness_order() {
+                return Verdict::Consistent(Witness { commit_order });
+            }
+        }
+        evidence::reconstruct(h, &self.spec())
+    }
+
     fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
         let salt = self.spec().spec_hash();
         self.memo.attach_shared(memo, salt);
@@ -492,226 +515,12 @@ impl ConsistencyChecker for WeakEngine {
     }
 }
 
-/// Engine for Serializability: memoised commit-prefix search with a
-/// reusable failed-state table, plus the fingerprint memo.
-#[derive(Debug)]
-pub struct SerEngine {
-    memo: Memo,
-    idx: FrontierIndex,
-    states: HashSet<ser::StateKey>,
-    nanos: u64,
-}
-
-impl SerEngine {
-    /// Creates a Serializability engine.
-    pub fn new(memoize: bool) -> Self {
-        SerEngine {
-            memo: Memo::new(memoize),
-            idx: FrontierIndex::default(),
-            states: HashSet::new(),
-            nanos: 0,
-        }
-    }
-}
-
-impl ConsistencyChecker for SerEngine {
-    fn spec(&self) -> LevelSpec {
-        LevelSpec::uniform(IsolationLevel::Serializability)
-    }
-
-    fn level(&self) -> IsolationLevel {
-        IsolationLevel::Serializability
-    }
-
-    fn check(&mut self, h: &History) -> bool {
-        match self.memo.lookup(h.live_hash()) {
-            Ok(v) => v,
-            Err(key) => {
-                // Only misses are timed: a hit is a single table probe,
-                // and an `Instant` pair per hit would dominate it.
-                let start = Instant::now();
-                let v = ser::satisfies_ser_with(h, &mut self.idx, &mut self.states);
-                self.memo.insert(key, v);
-                self.nanos += start.elapsed().as_nanos() as u64;
-                v
-            }
-        }
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        let salt = self.spec().spec_hash();
-        self.memo.attach_shared(memo, salt);
-    }
-
-    fn stats(&self) -> EngineStats {
-        let mut s = self.memo.stats();
-        s.incremental_hits = self.idx.incremental_hits;
-        s.full_rebuilds = self.idx.full_rebuilds;
-        s.check_nanos = self.nanos;
-        s
-    }
-
-    fn reset(&mut self) {
-        self.memo.reset();
-        self.states.clear();
-        self.idx.incremental_hits = 0;
-        self.idx.full_rebuilds = 0;
-        self.nanos = 0;
-    }
-}
-
-/// Engine for Snapshot Isolation: memoised start/commit interval search
-/// with a reusable failed-state table, plus the fingerprint memo.
-#[derive(Debug)]
-pub struct SiEngine {
-    memo: Memo,
-    idx: FrontierIndex,
-    states: HashSet<si::StateKey>,
-    nanos: u64,
-}
-
-impl SiEngine {
-    /// Creates a Snapshot Isolation engine.
-    pub fn new(memoize: bool) -> Self {
-        SiEngine {
-            memo: Memo::new(memoize),
-            idx: FrontierIndex::default(),
-            states: HashSet::new(),
-            nanos: 0,
-        }
-    }
-}
-
-impl ConsistencyChecker for SiEngine {
-    fn spec(&self) -> LevelSpec {
-        LevelSpec::uniform(IsolationLevel::SnapshotIsolation)
-    }
-
-    fn level(&self) -> IsolationLevel {
-        IsolationLevel::SnapshotIsolation
-    }
-
-    fn check(&mut self, h: &History) -> bool {
-        match self.memo.lookup(h.live_hash()) {
-            Ok(v) => v,
-            Err(key) => {
-                // Only misses are timed: a hit is a single table probe,
-                // and an `Instant` pair per hit would dominate it.
-                let start = Instant::now();
-                let v = si::satisfies_si_with(h, &mut self.idx, &mut self.states);
-                self.memo.insert(key, v);
-                self.nanos += start.elapsed().as_nanos() as u64;
-                v
-            }
-        }
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        let salt = self.spec().spec_hash();
-        self.memo.attach_shared(memo, salt);
-    }
-
-    fn stats(&self) -> EngineStats {
-        let mut s = self.memo.stats();
-        s.incremental_hits = self.idx.incremental_hits;
-        s.full_rebuilds = self.idx.full_rebuilds;
-        s.check_nanos = self.nanos;
-        s
-    }
-
-    fn reset(&mut self) {
-        self.memo.reset();
-        self.states.clear();
-        self.idx.incremental_hits = 0;
-        self.idx.full_rebuilds = 0;
-        self.nanos = 0;
-    }
-}
-
-/// Engine for Prefix Consistency: the polynomial Causal Consistency
-/// prerequisite (an incrementally synced `weak::WeakIndex` — Prefix
-/// implies Causal since the commit order extends `so ∪ wr`) followed by
-/// the prefix-constrained start/commit interval search over the shared
-/// `FrontierIndex` (see [`pc`]), plus the fingerprint memo.
-#[derive(Debug)]
-pub struct PcEngine {
-    memo: Memo,
-    weak: weak::WeakIndex,
-    idx: FrontierIndex,
-    states: HashSet<pc::StateKey>,
-    nanos: u64,
-}
-
-impl PcEngine {
-    /// Creates a Prefix Consistency engine.
-    pub fn new(memoize: bool) -> Self {
-        PcEngine {
-            memo: Memo::new(memoize),
-            weak: weak::WeakIndex::new(IsolationLevel::CausalConsistency),
-            idx: FrontierIndex::default(),
-            states: HashSet::new(),
-            nanos: 0,
-        }
-    }
-}
-
-impl ConsistencyChecker for PcEngine {
-    fn spec(&self) -> LevelSpec {
-        LevelSpec::uniform(IsolationLevel::PrefixConsistency)
-    }
-
-    fn level(&self) -> IsolationLevel {
-        IsolationLevel::PrefixConsistency
-    }
-
-    fn check(&mut self, h: &History) -> bool {
-        match self.memo.lookup(h.live_hash()) {
-            Ok(v) => v,
-            Err(key) => {
-                // Only misses are timed: a hit is a single table probe,
-                // and an `Instant` pair per hit would dominate it.
-                let start = Instant::now();
-                let v = weak::satisfies_weak_with(h, &mut self.weak)
-                    && pc::satisfies_pc_with(h, &mut self.idx, &mut self.states);
-                self.memo.insert(key, v);
-                self.nanos += start.elapsed().as_nanos() as u64;
-                v
-            }
-        }
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        let salt = self.spec().spec_hash();
-        self.memo.attach_shared(memo, salt);
-    }
-
-    fn stats(&self) -> EngineStats {
-        let mut s = self.memo.stats();
-        // Both indexes sync in lockstep from the same delta log (the
-        // frontier index only when the causal prerequisite holds);
-        // counting the max keeps the split per *check*, comparable with
-        // the single-index engines.
-        s.incremental_hits = self.weak.incremental_hits.max(self.idx.incremental_hits);
-        s.full_rebuilds = self.weak.full_rebuilds.max(self.idx.full_rebuilds);
-        s.check_nanos = self.nanos;
-        s
-    }
-
-    fn reset(&mut self) {
-        self.memo.reset();
-        self.states.clear();
-        self.weak.incremental_hits = 0;
-        self.weak.full_rebuilds = 0;
-        self.idx.incremental_hits = 0;
-        self.idx.full_rebuilds = 0;
-        self.nanos = 0;
-    }
-}
-
-/// Engine for mixed per-transaction level specifications: forced edges
-/// from the weak readers (incrementally synced `weak::WeakIndex` built
-/// with the spec) combined with the SER/SI commit-order search over the
-/// shared `FrontierIndex` (see [`mixed`]), plus the fingerprint memo.
+/// Engine for Prefix Consistency, Snapshot Isolation, Serializability and
+/// mixed per-transaction level specifications: the one commit-order
+/// search of [`mixed`] over an incrementally synced `FrontierIndex`,
+/// composed with the forced edges of the weak readers (an incrementally
+/// synced `weak::WeakIndex`, used only when the spec assigns RC, RA or CC
+/// somewhere), plus the fingerprint memo.
 ///
 /// The memo key folds [`LevelSpec::spec_hash`] into the history's rolling
 /// hash, so a verdict memoised under one spec can never be served for
@@ -722,30 +531,20 @@ pub struct MixedEngine {
     spec: LevelSpec,
     spec_hash: u64,
     memo: Memo,
-    weak: weak::WeakIndex,
-    frontier: FrontierIndex,
-    scratch: mixed::MixedScratch,
-    /// Same-generation verdict cache `(uid, generation, verdict)`, serving
-    /// re-checks whose memo entry was evicted without re-deciding.
-    last: Option<(u64, u64, bool)>,
+    decider: mixed::Decider,
     nanos: u64,
 }
 
 impl MixedEngine {
-    /// Creates an engine for an arbitrary level specification. Uniform
-    /// specs are legal (the verdict matches the per-level engine exactly —
-    /// pinned by the cross-validation suites) but served more cheaply by
-    /// [`engine_for_spec_with`], which routes them to the per-level
-    /// engines.
+    /// Creates an engine for an arbitrary level specification. Every spec
+    /// is legal; [`engine_for_spec_with`] routes uniform `true`, RC, RA
+    /// and CC specs to the cheaper [`TrivialEngine`] and [`WeakEngine`].
     pub fn new(spec: LevelSpec, memoize: bool) -> Self {
         MixedEngine {
             spec_hash: spec.spec_hash(),
-            weak: weak::WeakIndex::new_spec(spec.clone()),
+            decider: mixed::Decider::new(spec.clone()),
             spec,
             memo: Memo::new(memoize),
-            frontier: FrontierIndex::default(),
-            scratch: mixed::MixedScratch::default(),
-            last: None,
             nanos: 0,
         }
     }
@@ -764,30 +563,27 @@ impl ConsistencyChecker for MixedEngine {
                 // Only misses are timed: a hit is a single table probe,
                 // and an `Instant` pair per hit would dominate it.
                 let start = Instant::now();
-                let v = match self.last {
-                    // Unchanged since the previous decision (memo entry
-                    // evicted): reuse the verdict without re-deciding.
-                    Some((uid, gen, v)) if uid == h.uid() && gen == h.generation() => v,
-                    _ => {
-                        self.weak.sync(h);
-                        if self.spec.has_strong() {
-                            self.frontier.sync(h);
-                        }
-                        let v = mixed::decide_mixed(
-                            &self.spec,
-                            &mut self.weak,
-                            &mut self.frontier,
-                            &mut self.scratch,
-                        );
-                        self.last = Some((h.uid(), h.generation(), v));
-                        v
-                    }
-                };
+                let v = self.decider.decide(h);
                 self.memo.insert(key, v);
                 self.nanos += start.elapsed().as_nanos() as u64;
                 v
             }
         }
+    }
+
+    /// The witness is the commit order recorded by the search that
+    /// decided `h`; a verdict served by the memo re-runs the search once
+    /// to record it.
+    fn check_witnessed(&mut self, h: &History) -> Verdict {
+        if self.check(h) {
+            let start = Instant::now();
+            let order = self.decider.witness(h);
+            self.nanos += start.elapsed().as_nanos() as u64;
+            if let Some(commit_order) = order {
+                return Verdict::Consistent(Witness { commit_order });
+            }
+        }
+        evidence::reconstruct(h, &self.spec)
     }
 
     fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
@@ -798,26 +594,14 @@ impl ConsistencyChecker for MixedEngine {
 
     fn stats(&self) -> EngineStats {
         let mut s = self.memo.stats();
-        // Both indexes sync in lockstep from the same delta log (the
-        // frontier index only for strong specs); counting the max keeps
-        // the incremental/full-rebuild split per *check*, comparable with
-        // the single-index engines, instead of double-counting one sync.
-        s.incremental_hits = self
-            .weak
-            .incremental_hits
-            .max(self.frontier.incremental_hits);
-        s.full_rebuilds = self.weak.full_rebuilds.max(self.frontier.full_rebuilds);
+        (s.incremental_hits, s.full_rebuilds) = self.decider.sync_stats();
         s.check_nanos = self.nanos;
         s
     }
 
     fn reset(&mut self) {
         self.memo.reset();
-        self.weak.incremental_hits = 0;
-        self.weak.full_rebuilds = 0;
-        self.frontier.incremental_hits = 0;
-        self.frontier.full_rebuilds = 0;
-        self.last = None;
+        self.decider.reset();
         self.nanos = 0;
     }
 }
@@ -926,19 +710,50 @@ mod tests {
 
     #[test]
     fn mixed_engine_with_uniform_spec_matches_per_level_engines() {
-        // Forcing the mixed path with a uniform spec must reproduce the
-        // per-level engines' verdicts bit-for-bit.
-        let h = lost_update();
-        for level in IsolationLevel::ALL {
-            let mut forced = MixedEngine::new(LevelSpec::uniform(level), true);
-            assert_eq!(forced.spec(), LevelSpec::uniform(level));
-            assert_eq!(forced.level(), level);
-            assert_eq!(
-                forced.check(&h),
-                crate::check::satisfies(&h, level),
-                "forced mixed path disagrees with {level}"
-            );
-            assert!(forced.check(&History::default()));
+        // Forcing the mixed path with a uniform spec must decide each
+        // level's axioms, the weak and trivial levels included.
+        for h in [lost_update(), History::default()] {
+            for level in IsolationLevel::ALL {
+                let mut forced = MixedEngine::new(LevelSpec::uniform(level), true);
+                assert_eq!(forced.spec(), LevelSpec::uniform(level));
+                assert_eq!(forced.level(), level);
+                assert_eq!(
+                    forced.check(&h),
+                    crate::axioms::oracle_satisfies(&h, level),
+                    "forced mixed path disagrees with the {level} axioms"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn check_witnessed_on_a_memo_hit_still_returns_evidence() {
+        // A clone has a fresh uid but the same rolling hash, so the second
+        // engine call is a memo hit on a history the search never saw: the
+        // witness must be re-derived, not taken from the previous pass.
+        let mut corpus = vec![lost_update()];
+        corpus.extend((0..40).map(|seed| crate::testkit::random_history(seed, 3, 2, 2)));
+        for h in &corpus {
+            for level in IsolationLevel::ALL {
+                let spec = LevelSpec::uniform(level);
+                let expected = crate::axioms::oracle_satisfies(h, level);
+                let forced = Box::new(MixedEngine::new(spec.clone(), true));
+                for mut engine in [engine_for(level), forced as Box<dyn ConsistencyChecker>] {
+                    assert_eq!(engine.check(h), expected, "{level}");
+                    let twin = h.clone();
+                    let verdict = engine.check_witnessed(&twin);
+                    if level != IsolationLevel::Trivial {
+                        assert_eq!(engine.stats().memo_hits, 1, "{level}: not a memo hit");
+                    }
+                    crate::testkit::assert_verdict_valid(
+                        &twin,
+                        &spec,
+                        &verdict,
+                        expected,
+                        &format!("{level} memo hit"),
+                    );
+                }
+            }
         }
     }
 
@@ -1046,7 +861,7 @@ mod tests {
         assert!(!ser.check(&h));
         assert!(rc.check(&h));
         assert_eq!(rc.stats().shared_memo_hits, 0, "RC must not see SER's key");
-        // A mixed engine with the uniform SER spec shares SER's key shape
+        // Another engine for the same uniform SER spec shares SER's key
         // (`live_hash ⊕ spec_hash`), so it *does* hit SER's entry.
         let mut forced =
             MixedEngine::new(LevelSpec::uniform(IsolationLevel::Serializability), true);
@@ -1055,7 +870,7 @@ mod tests {
         assert_eq!(
             forced.stats().shared_memo_hits,
             1,
-            "uniform mixed engine shares the per-level key"
+            "engines of one spec share their keys"
         );
     }
 

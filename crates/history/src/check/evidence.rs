@@ -2,30 +2,30 @@
 //! cores.
 //!
 //! The boolean checkers in [`crate::check`] answer *whether* a history
-//! satisfies a spec; this module reconstructs *why*, on demand and off the
-//! memoised hot path (following the witness/error model of dbcop and the
-//! practical-explanations argument of *Making Transaction Isolation
-//! Checking Practical*):
+//! satisfies a spec; the evidence says *why* (following the witness/error
+//! model of dbcop and the practical-explanations argument of *Making
+//! Transaction Isolation Checking Practical*):
 //!
 //! * On success, a [`Witness`]: a total commit order over all transactions
 //!   (init first) that extends `so ∪ wr` and satisfies every reader's
 //!   axioms. It is independently replay-verifiable with
 //!   [`crate::axioms::check_with_order_spec`] — see [`Witness::replays`].
-//!   Witness orders are extracted from the same machinery as the boolean
-//!   verdicts: the Kahn order of `so ∪ wr ∪ forced` for weak levels
-//!   (`WeakIndex::witness_order`), and
-//!   order-recording runs of the SER/SI/PC/mixed frontier searches.
+//!   Witnesses come from the pass that decided the verdict: the commit
+//!   order the PC/SI/SER/mixed search recorded as it decided, or the Kahn
+//!   order of `so ∪ wr ∪ forced` over the weak engine's synced index
+//!   (`WeakIndex::witness_order`). Nothing is re-derived on fresh indexes.
 //! * On failure, a [`Violation`]: a cycle of `so`/`wr`/forced-`co` edges,
 //!   each forced edge annotated with the [`AxiomInstance`] that forced it.
 //!   The cycle is *simple* (every vertex is entered and left exactly once),
 //!   so it is minimal in the sense that dropping any edge breaks it.
 //!
-//! Violation cores are found by **saturation**: starting from the
-//! `so ∪ wr` edges, commit-order edges that must hold in *every* total
-//! commit order are derived from the axiom instances until either the edge
-//! set becomes cyclic (the core) or a fixpoint is reached. For the weak
-//! levels this is exactly the forced-edge computation of the uniform
-//! checkers and therefore complete. For SER/SI/PC the premises mention
+//! Violation cores are reconstructed on demand, off the memoised hot path,
+//! over fresh indexes (`reconstruct`). They are found by **saturation**:
+//! starting from the `so ∪ wr` edges, commit-order edges that must hold in
+//! *every* total commit order are derived from the axiom instances until
+//! either the edge set becomes cyclic (the core) or a fixpoint is reached.
+//! For the weak levels this is exactly the forced-edge computation of the
+//! weak checker and therefore complete. For SER/SI/PC the premises mention
 //! `co`, so two sound derivation rules are used per instance
 //! `⟨t1, α⟩ ∈ wr_x ∧ t2 writes x ∧ φ(t2, α) ⇒ ⟨t2, t1⟩ ∈ co`:
 //!
@@ -45,8 +45,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::axioms::{axioms_for, check_with_order_spec, Axiom};
-use crate::check::weak::WeakIndex;
-use crate::check::{mixed, pc, ser, si};
 use crate::event::EventId;
 use crate::history::History;
 use crate::isolation::{IsolationLevel, LevelSpec};
@@ -227,59 +225,16 @@ fn fmt_tx(f: &mut fmt::Formatter<'_>, t: TxId) -> fmt::Result {
     }
 }
 
-/// Reconstructs the evidence for a verdict the boolean fast path already
-/// decided. Called by
-/// [`ConsistencyChecker::check_witnessed`](crate::check::ConsistencyChecker::check_witnessed);
-/// builds fresh (non-memoised) indexes, so it never touches engine memo
-/// slots.
-pub(crate) fn reconstruct(h: &History, spec: &LevelSpec, consistent: bool) -> Verdict {
-    if consistent {
-        match witness_order(h, spec) {
-            Some(order) => Verdict::Consistent(Witness {
-                commit_order: order,
-            }),
-            None => Verdict::Inconsistent(
-                violation_core(h, spec)
-                    .expect("fast path said consistent but no witness or core exists"),
-            ),
-        }
-    } else {
-        match violation_core(h, spec) {
-            Some(core) => Verdict::Inconsistent(core),
-            None => Verdict::Consistent(Witness {
-                commit_order: witness_order(h, spec)
-                    .expect("fast path said inconsistent but no core or witness exists"),
-            }),
-        }
-    }
-}
-
-/// A commit order witnessing that `h` satisfies `spec`, threaded through
-/// the same engines as the boolean verdicts: the weak Kahn order, or an
-/// order-recording run of the SER/SI/PC/mixed frontier searches.
-fn witness_order(h: &History, spec: &LevelSpec) -> Option<Vec<TxId>> {
-    let Some(level) = spec.as_uniform() else {
-        return mixed::witness_spec(h, spec);
-    };
-    match level {
-        // `true` imposes no axioms; any topological order of `so ∪ wr`
-        // (which is acyclic for well-formed histories) is a witness.
-        IsolationLevel::Trivial => {
-            let mut weak = WeakIndex::new(IsolationLevel::ReadCommitted);
-            weak.sync(h);
-            weak.base_topological_order()
-        }
-        IsolationLevel::ReadCommitted
-        | IsolationLevel::ReadAtomic
-        | IsolationLevel::CausalConsistency => {
-            let mut weak = WeakIndex::new(level);
-            weak.sync(h);
-            weak.witness_order()
-        }
-        IsolationLevel::PrefixConsistency => pc::witness_pc(h),
-        IsolationLevel::SnapshotIsolation => si::witness_si(h),
-        IsolationLevel::Serializability => ser::witness_ser(h),
-    }
+/// The violation core of a history the deciding engine rejected, built
+/// over fresh (non-memoised) indexes so it never touches engine memo
+/// slots. Called by the engines'
+/// [`check_witnessed`](crate::check::ConsistencyChecker::check_witnessed);
+/// witnesses come from the engines themselves.
+pub(crate) fn reconstruct(h: &History, spec: &LevelSpec) -> Verdict {
+    Verdict::Inconsistent(
+        violation_core(h, spec)
+            .expect("saturation with case splits finds a core for every inconsistent history"),
+    )
 }
 
 /// A minimal violation core, or `None` when `h` actually satisfies `spec`
@@ -552,11 +507,13 @@ impl<'h> Saturation<'h> {
             if !found {
                 continue;
             }
+            // Every vertex the BFS reached has a parent on a path from `v`,
+            // so the chain from `v`'s own parent walks back to `v`.
             let mut path = vec![v];
-            let mut cur = parent[v].unwrap();
+            let mut cur = parent[v].expect("the BFS found an edge back into v");
             while cur != v {
                 path.push(cur);
-                cur = parent[cur].unwrap();
+                cur = parent[cur].expect("every vertex the BFS reached has a parent");
             }
             path.push(v);
             path.reverse(); // v, ..., v
@@ -781,7 +738,7 @@ mod tests {
             IsolationLevel::PrefixConsistency,
         ] {
             let spec = LevelSpec::uniform(level);
-            let v = reconstruct(&h, &spec, true);
+            let v = crate::check::engine_for(level).check_witnessed(&h);
             let w = v.witness().expect("lost update is consistent here");
             assert!(w.replays(&h, &spec), "{level}: {w}");
         }

@@ -1,9 +1,9 @@
-//! Shared per-transaction index for the frontier-search checkers
-//! (Serializability and Snapshot Isolation), maintained incrementally from
-//! the history's mutation deltas.
+//! Per-transaction index for the commit-order search of
+//! [`crate::check::mixed`], maintained incrementally from the history's
+//! mutation deltas.
 //!
-//! Both searches consume the same view of a history: the transactions of
-//! each session in session order, and per transaction its external reads
+//! The search consumes one view of a history: the transactions of each
+//! session in session order, and per transaction its external reads
 //! (variable + writer) and visible writes. [`FrontierIndex`] keeps that
 //! view synced to a history the same way [`crate::check::weak::WeakIndex`]
 //! does, replaying [`History::deltas_since`]. Unlike the weak index it
@@ -27,7 +27,7 @@ struct WriteEntry {
     first_po: u32,
 }
 
-/// Incrementally synced per-transaction view for the SER/SI searches.
+/// Incrementally synced per-transaction view for the commit-order search.
 #[derive(Debug, Default)]
 pub(crate) struct FrontierIndex {
     uid: u64,

@@ -1,4 +1,5 @@
-//! Consistency checking against *mixed* per-transaction isolation levels.
+//! The commit-order search that decides Prefix Consistency, Snapshot
+//! Isolation, Serializability and mixed per-transaction level assignments.
 //!
 //! Real databases run heterogeneous workloads — read-only analytics at
 //! Read Committed next to payment transactions at Serializability — and a
@@ -7,34 +8,43 @@
 //! `so ∪ wr` in which every transaction obeys the axioms of *its own*
 //! level (the per-transaction generalisation of Definition 2.2, following
 //! *On the Complexity of Checking Mixed Isolation Levels for SQL
-//! Transactions*).
+//! Transactions*). A uniform spec is the degenerate case: uniform PC, SI
+//! and SER run exactly this search.
 //!
-//! The decision procedure composes the two per-level machineries:
+//! The decision procedure composes two machineries:
 //!
 //! * **Weak readers** (RC/RA/CC): their axiom premises never mention the
 //!   commit order, so each such read contributes a set of *forced* edges
-//!   computed by the incrementally synced `WeakIndex` — exactly the
-//!   per-level rules of the uniform checkers, selected per reader.
+//!   computed by the incrementally synced `WeakIndex`. The index is only
+//!   synced when the spec assigns one of these levels somewhere.
 //! * **Strong transactions** (SER/SI/PC): decided by a session-frontier
-//!   search over commit orders, shared with the uniform SER/SI/PC checkers
-//!   via `FrontierIndex`. Serializability transactions are placed
+//!   search over commit orders (Biswas & Enea 2019), polynomial for a
+//!   fixed number of sessions. Serializability transactions are placed
 //!   *atomically* and must read each variable from its last committed
-//!   writer; Snapshot Isolation transactions occupy a start/commit
+//!   writer. Snapshot Isolation transactions occupy a start/commit
 //!   *interval*: reads are checked against the snapshot at start, and no
 //!   transaction writing a common variable may commit inside the interval
 //!   (the Conflict axiom; for two SI transactions this is the classical
-//!   disjoint-interval rule). Prefix Consistency transactions occupy an
-//!   interval with the same snapshot reads but no conflict rule in either
-//!   direction. Weak and `true` transactions are placed atomically with no
-//!   read constraint beyond `wr ⊆ co` and their forced edges.
+//!   disjoint-interval rule — Cerone, Bernardi & Gotsman 2015). Prefix
+//!   Consistency transactions occupy an interval with the same snapshot
+//!   reads but no conflict rule in either direction. Weak and `true`
+//!   transactions are placed atomically with no read constraint beyond
+//!   `wr ⊆ co` and their forced edges.
 //!
 //! When the spec assigns no strong level the search degenerates to plain
-//! acyclicity of `so ∪ wr ∪ forced` (Kahn), and a *uniform* spec
-//! reproduces the corresponding uniform checker verdict bit-for-bit —
-//! pinned by the cross-validation tests in [`crate::check`] and the
-//! engine property suites.
+//! acyclicity of `so ∪ wr ∪ forced` (Kahn), and uniformly `true` accepts
+//! every history.
+//!
+//! The search allocates nothing per node. Its state is one `Vec<u32>`:
+//! a word per session (frontier position and started flag) followed by
+//! the last committed writer of every externally read variable, restored
+//! from an undo stack on backtrack. The same vector is the failed-state
+//! key, looked up by slice in an exact set (variables nobody reads never
+//! influence the future, so they are not tracked). The search records the
+//! commit order as it goes, so a successful decision leaves its witness
+//! behind.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use crate::check::frontier::FrontierIndex;
 use crate::check::weak::WeakIndex;
@@ -43,371 +53,342 @@ use crate::isolation::{IsolationLevel, LevelSpec};
 use crate::transaction::TxId;
 use crate::value::Var;
 
-/// Whether the history satisfies the mixed-level spec. Stateless entry
-/// point: builds fresh indexes per call. Long-running explorations should
-/// use the memoised engine from [`crate::check::engine::engine_for_spec`].
+/// Whether the history satisfies the level spec. Stateless entry point:
+/// builds fresh indexes per call. Long-running explorations should use the
+/// memoised engine from [`crate::check::engine::engine_for_spec`].
 pub fn satisfies_spec(h: &History, spec: &LevelSpec) -> bool {
-    if let Some(level) = spec.as_uniform() {
-        return crate::check::satisfies(h, level);
-    }
-    let mut weak = WeakIndex::new_spec(spec.clone());
-    let mut frontier = FrontierIndex::default();
-    let mut scratch = MixedScratch::default();
-    weak.sync(h);
-    if spec.has_strong() {
-        frontier.sync(h);
-    }
-    decide_mixed(spec, &mut weak, &mut frontier, &mut scratch)
+    Decider::new(spec.clone()).decide(h)
 }
 
-/// Failed-state key of the mixed search: the per-session frontier with the
-/// started flag of the session's current transaction, plus the
-/// last-committed writer of every variable. The committed set is a
-/// function of the frontiers, so it is not part of the key.
-pub(crate) type StateKey = (Vec<(usize, bool)>, Vec<(u32, u32)>);
+/// The decision procedure for one level spec, with the indexes and
+/// buffers it reuses across checks.
+#[derive(Debug)]
+pub(crate) struct Decider {
+    spec: LevelSpec,
+    /// Whether the spec assigns RC, RA or CC somewhere: only those readers
+    /// force edges, so `weak` is synced for the search only then.
+    weak_readers: bool,
+    weak: WeakIndex,
+    frontier: FrontierIndex,
+    search: Search,
+    /// `(uid, generation, verdict)` of the last decided history: an
+    /// unchanged history is answered (and witnessed) without re-deciding.
+    last: Option<(u64, u64, bool)>,
+}
 
-/// Reusable buffers of the mixed decision procedure, owned by the mixed
-/// engine so repeated checks allocate nothing.
+impl Decider {
+    pub(crate) fn new(spec: LevelSpec) -> Self {
+        Decider {
+            weak_readers: [
+                IsolationLevel::ReadCommitted,
+                IsolationLevel::ReadAtomic,
+                IsolationLevel::CausalConsistency,
+            ]
+            .into_iter()
+            .any(|l| spec.mentions(l)),
+            weak: WeakIndex::new_spec(spec.clone()),
+            frontier: FrontierIndex::default(),
+            search: Search::default(),
+            last: None,
+            spec,
+        }
+    }
+
+    /// Whether `h` satisfies the spec. A successful commit-order search
+    /// leaves its commit order behind for [`witness`](Self::witness).
+    pub(crate) fn decide(&mut self, h: &History) -> bool {
+        if let Some((uid, gen, v)) = self.last {
+            if uid == h.uid() && gen == h.generation() {
+                return v;
+            }
+        }
+        let v = self.decide_fresh(h);
+        self.last = Some((h.uid(), h.generation(), v));
+        v
+    }
+
+    fn decide_fresh(&mut self, h: &History) -> bool {
+        if self.spec.as_uniform() == Some(IsolationLevel::Trivial) {
+            // Uniformly `true` is the paper's trivial level: every history
+            // is consistent, with no commit-order obligation — matching
+            // `TrivialEngine` exactly. (A *mixed* spec with `true`
+            // positions keeps Definition 2.2's requirement that a commit
+            // order extending `so ∪ wr` exists.)
+            return true;
+        }
+        if !self.spec.has_strong() {
+            // No strong transaction: the axioms reduce to the forced
+            // edges, and the spec holds iff `so ∪ wr ∪ forced` is acyclic.
+            self.weak.sync(h);
+            return self.weak.decide();
+        }
+        if self.weak_readers {
+            self.weak.sync(h);
+            self.weak.collect_forced_tx(&mut self.search.forced);
+        } else {
+            self.search.forced.clear();
+        }
+        self.frontier.sync(h);
+        self.search.decide(&self.spec, &self.frontier)
+    }
+
+    /// A commit order witnessing that `h` satisfies the spec, init first,
+    /// or `None` when it does not. For a strong spec this is the order the
+    /// deciding search recorded (re-deciding only when `h` is not the
+    /// history decided last); otherwise a topological order of
+    /// `so ∪ wr ∪ forced`.
+    pub(crate) fn witness(&mut self, h: &History) -> Option<Vec<TxId>> {
+        if !self.spec.has_strong() {
+            self.weak.sync(h);
+            return self.weak.witness_order();
+        }
+        self.decide(h).then(|| self.search.order.clone())
+    }
+
+    /// How the index syncs were served, as `(incremental, full rebuilds)`.
+    /// Both indexes sync from the same delta log (each only when the spec
+    /// needs it); counting the max keeps the split per *check* instead of
+    /// double-counting one sync.
+    pub(crate) fn sync_stats(&self) -> (u64, u64) {
+        (
+            self.weak
+                .incremental_hits
+                .max(self.frontier.incremental_hits),
+            self.weak.full_rebuilds.max(self.frontier.full_rebuilds),
+        )
+    }
+
+    /// Zeroes the sync counters and forgets the last verdict.
+    pub(crate) fn reset(&mut self) {
+        self.weak.incremental_hits = 0;
+        self.weak.full_rebuilds = 0;
+        self.frontier.incremental_hits = 0;
+        self.frontier.full_rebuilds = 0;
+        self.last = None;
+    }
+}
+
+/// Marks a variable without a last-writer word (nobody reads it).
+const UNTRACKED: u32 = u32::MAX;
+
+/// Reusable state of the commit-order search.
 #[derive(Debug, Default)]
-pub(crate) struct MixedScratch {
+struct Search {
     /// Forced commit-order edges of the weak readers, as transaction ids.
-    forced_tx: Vec<(TxId, TxId)>,
+    forced: Vec<(TxId, TxId)>,
     /// `slot ↦` the level the spec assigns the slot's transaction.
-    slot_level: Vec<IsolationLevel>,
+    level: Vec<IsolationLevel>,
     /// `slot ↦` forced-edge predecessor slots (must commit first).
     preds: Vec<Vec<u32>>,
-    /// `slot ↦` whether the slot is committed in the current search prefix.
+    /// `slot ↦` whether the slot is committed in the current prefix.
     committed: Vec<bool>,
-    /// Memoised failed states (cleared per check; entries are only
-    /// meaningful within one history).
-    memo: HashSet<StateKey>,
+    /// Whether any transaction is at Snapshot Isolation (only those
+    /// intervals constrain conflicting commits).
+    any_si: bool,
+    /// `Var.0 ↦` index of the variable's last-writer word in `state`.
+    var_word: Vec<u32>,
+    /// The variables holding a word in `state`, to reset `var_word`.
+    tracked: Vec<u32>,
+    /// The search state and failed-state key: per session
+    /// `2 · frontier + started`, then per tracked variable the `TxId` of
+    /// its last committed writer (init = 0).
+    state: Vec<u32>,
+    /// Last-writer words overwritten by commits, as `(word, old value)`.
+    undo: Vec<(u32, u32)>,
+    /// Failed states of the current check (exact keys; cleared per check).
+    failed: HashSet<Box<[u32]>>,
+    /// The commit order of the current prefix, init first: the witness
+    /// once the search succeeds.
+    order: Vec<TxId>,
 }
 
-/// Decides the spec for the history both indexes are synced to. The weak
-/// index must have been built with the same spec (it selects each forced
-/// edge by its reader's level).
-pub(crate) fn decide_mixed(
-    spec: &LevelSpec,
-    weak: &mut WeakIndex,
-    frontier: &mut FrontierIndex,
-    scratch: &mut MixedScratch,
-) -> bool {
-    if spec.as_uniform() == Some(IsolationLevel::Trivial) {
-        // Uniformly `true` is the paper's trivial level: every history is
-        // consistent, with no commit-order obligation — matching
-        // `TrivialEngine` exactly. (A *mixed* spec with `true` positions
-        // keeps Definition 2.2's requirement that a commit order
-        // extending `so ∪ wr` exists.)
-        return true;
-    }
-    if !spec.has_strong() {
-        // No SER/SI transaction: the axioms reduce to the forced edges,
-        // and the spec holds iff `so ∪ wr ∪ forced` is acyclic.
-        return weak.decide();
-    }
-    weak.collect_forced_tx(&mut scratch.forced_tx);
-    let n = frontier.len();
-    scratch.slot_level.clear();
-    scratch.slot_level.resize(n, spec.default_level());
-    for (s, txs) in frontier.sessions.iter().enumerate() {
-        for (k, &(_, slot)) in txs.iter().enumerate() {
-            scratch.slot_level[slot as usize] = spec.level_of(s as u32, k as u32);
+impl Search {
+    /// Decides the spec over the synced frontier index, given the forced
+    /// edges in `self.forced`.
+    fn decide(&mut self, spec: &LevelSpec, idx: &FrontierIndex) -> bool {
+        let n = idx.len();
+        self.level.clear();
+        self.level.resize(n, spec.default_level());
+        for (s, txs) in idx.sessions.iter().enumerate() {
+            for (k, &(_, slot)) in txs.iter().enumerate() {
+                self.level[slot as usize] = spec.level_of(s as u32, k as u32);
+            }
         }
-    }
-    for p in &mut scratch.preds {
-        p.clear();
-    }
-    if scratch.preds.len() < n {
-        scratch.preds.resize_with(n, Vec::new);
-    }
-    for &(a, b) in &scratch.forced_tx {
-        if b.is_init() {
-            // A forced edge into the init transaction (co-first by
-            // construction) is unsatisfiable.
-            return false;
+        self.any_si = self.level.contains(&IsolationLevel::SnapshotIsolation);
+        for p in &mut self.preds {
+            p.clear();
         }
-        if a.is_init() {
-            continue; // init commits before everything: always satisfied
+        if self.preds.len() < n {
+            self.preds.resize_with(n, Vec::new);
         }
-        let (Some(sa), Some(sb)) = (frontier.slot_of(a), frontier.slot_of(b)) else {
-            return false;
-        };
-        scratch.preds[sb as usize].push(sa);
-    }
-    scratch.committed.clear();
-    scratch.committed.resize(n, false);
-    scratch.memo.clear();
-    let sessions = frontier.sessions.len();
-    let mut state = SearchState {
-        frontier: vec![0; sessions],
-        started: vec![false; sessions],
-        last_committed: BTreeMap::new(),
-    };
-    search(
-        frontier,
-        &scratch.slot_level,
-        &scratch.preds,
-        &mut scratch.committed,
-        &mut state,
-        &mut scratch.memo,
-        &mut None,
-    )
-}
-
-/// Like [`satisfies_spec`] for a genuinely mixed spec, additionally
-/// returning the commit order the successful search found (init first), for
-/// witness reconstruction. Builds fresh indexes: this is the cold evidence
-/// path, not the memoised engine path.
-pub(crate) fn witness_spec(h: &History, spec: &LevelSpec) -> Option<Vec<TxId>> {
-    debug_assert!(spec.as_uniform().is_none());
-    let mut weak = WeakIndex::new_spec(spec.clone());
-    weak.sync(h);
-    if !spec.has_strong() {
-        // No commit-order search: any topological order of
-        // `so ∪ wr ∪ forced` witnesses the weak readers' axioms.
-        return weak.witness_order();
-    }
-    let mut frontier = FrontierIndex::default();
-    frontier.sync(h);
-    let mut scratch = MixedScratch::default();
-    weak.collect_forced_tx(&mut scratch.forced_tx);
-    let n = frontier.len();
-    scratch.slot_level.resize(n, spec.default_level());
-    for (s, txs) in frontier.sessions.iter().enumerate() {
-        for (k, &(_, slot)) in txs.iter().enumerate() {
-            scratch.slot_level[slot as usize] = spec.level_of(s as u32, k as u32);
-        }
-    }
-    scratch.preds.resize_with(n, Vec::new);
-    for &(a, b) in &scratch.forced_tx {
-        if b.is_init() {
-            return None;
-        }
-        if a.is_init() {
-            continue;
-        }
-        let (sa, sb) = (frontier.slot_of(a)?, frontier.slot_of(b)?);
-        scratch.preds[sb as usize].push(sa);
-    }
-    scratch.committed.resize(n, false);
-    let sessions = frontier.sessions.len();
-    let mut state = SearchState {
-        frontier: vec![0; sessions],
-        started: vec![false; sessions],
-        last_committed: BTreeMap::new(),
-    };
-    let mut order = Some(vec![TxId::INIT]);
-    search(
-        &frontier,
-        &scratch.slot_level,
-        &scratch.preds,
-        &mut scratch.committed,
-        &mut state,
-        &mut scratch.memo,
-        &mut order,
-    )
-    .then(|| order.unwrap())
-}
-
-struct SearchState {
-    /// Index of the next transaction of each session (started or not).
-    frontier: Vec<usize>,
-    /// Whether the session's current transaction has started but not yet
-    /// committed (only ever true for SI and PC interval transactions).
-    started: Vec<bool>,
-    /// Last committed writer of each variable (absent = init).
-    last_committed: BTreeMap<Var, TxId>,
-}
-
-fn state_key(state: &SearchState) -> StateKey {
-    (
-        state
-            .frontier
-            .iter()
-            .copied()
-            .zip(state.started.iter().copied())
-            .collect(),
-        state
-            .last_committed
-            .iter()
-            .map(|(v, t)| (v.0, t.0))
-            .collect(),
-    )
-}
-
-/// Whether any started in-progress *Snapshot Isolation* transaction of
-/// another session visibly writes a variable that `slot` visibly writes.
-/// The Conflict axiom forbids a conflicting writer from committing inside
-/// an SI transaction's interval; Prefix Consistency has no Conflict axiom,
-/// so a started PC interval constrains nobody.
-fn conflicts_with_started(
-    idx: &FrontierIndex,
-    level: &[IsolationLevel],
-    state: &SearchState,
-    skip_session: usize,
-    slot: u32,
-) -> bool {
-    idx.visible_writes(slot as usize).any(|x| {
-        (0..idx.sessions.len()).any(|s2| {
-            if s2 == skip_session || !state.started[s2] {
+        for &(a, b) in &self.forced {
+            if b.is_init() {
+                // A forced edge into the init transaction (co-first by
+                // construction) is unsatisfiable.
                 return false;
             }
-            let (_, slot2) = idx.sessions[s2][state.frontier[s2]];
-            level[slot2 as usize] == IsolationLevel::SnapshotIsolation
-                && idx.writes_var(slot2 as usize, x)
-        })
-    })
-}
-
-fn search(
-    idx: &FrontierIndex,
-    level: &[IsolationLevel],
-    preds: &[Vec<u32>],
-    committed: &mut Vec<bool>,
-    state: &mut SearchState,
-    memo: &mut HashSet<StateKey>,
-    order: &mut Option<Vec<TxId>>,
-) -> bool {
-    let done = state
-        .frontier
-        .iter()
-        .zip(&idx.sessions)
-        .all(|(f, s)| *f == s.len());
-    if done {
-        return true;
-    }
-    let key = state_key(state);
-    if memo.contains(&key) {
-        return false;
-    }
-    for s in 0..idx.sessions.len() {
-        if state.frontier[s] >= idx.sessions[s].len() {
-            continue;
+            if a.is_init() {
+                continue; // init commits before everything: always satisfied
+            }
+            let (Some(sa), Some(sb)) = (idx.slot_of(a), idx.slot_of(b)) else {
+                return false;
+            };
+            self.preds[sb as usize].push(sa);
         }
-        let (t, slot) = idx.sessions[s][state.frontier[s]];
-        let lvl = level[slot as usize];
-        if matches!(
-            lvl,
-            IsolationLevel::SnapshotIsolation | IsolationLevel::PrefixConsistency
-        ) {
-            if !state.started[s] {
-                // Try to start t: snapshot reads, plus — for SI only —
-                // write-conflict freedom against the other in-progress SI
-                // transactions. PC starts are never conflict-constrained.
-                let snapshot_ok = idx.reads[slot as usize]
-                    .iter()
-                    .all(|(x, w)| state.last_committed.get(x).copied().unwrap_or(TxId::INIT) == *w);
-                if !snapshot_ok
-                    || (lvl == IsolationLevel::SnapshotIsolation
-                        && conflicts_with_started(idx, level, state, s, slot))
-                {
-                    continue;
+        self.committed.clear();
+        self.committed.resize(n, false);
+
+        let sessions = idx.sessions.len();
+        for &x in &self.tracked {
+            self.var_word[x as usize] = UNTRACKED;
+        }
+        self.tracked.clear();
+        for reads in &idx.reads {
+            for &(x, _) in reads {
+                let x = x.0 as usize;
+                if self.var_word.len() <= x {
+                    self.var_word.resize(x + 1, UNTRACKED);
                 }
-                state.started[s] = true;
-                if search(idx, level, preds, committed, state, memo, order) {
-                    return true;
-                }
-                state.started[s] = false;
-            } else {
-                // Commit t: the forced-edge predecessors must be in, and
-                // the commit must not land inside a conflicting started SI
-                // interval (reachable only for PC commits — two
-                // conflicting SI intervals never overlap by the start
-                // rule).
-                if !preds[slot as usize].iter().all(|&p| committed[p as usize])
-                    || conflicts_with_started(idx, level, state, s, slot)
-                {
-                    continue;
-                }
-                state.started[s] = false;
-                state.frontier[s] += 1;
-                committed[slot as usize] = true;
-                let mut saved: Vec<(Var, Option<TxId>)> = Vec::new();
-                for x in idx.visible_writes(slot as usize) {
-                    saved.push((x, state.last_committed.insert(x, t)));
-                }
-                if let Some(order) = order.as_mut() {
-                    order.push(t);
-                }
-                let found = search(idx, level, preds, committed, state, memo, order);
-                if !found {
-                    if let Some(order) = order.as_mut() {
-                        order.pop();
-                    }
-                }
-                for (x, old) in saved.into_iter().rev() {
-                    match old {
-                        Some(w) => {
-                            state.last_committed.insert(x, w);
-                        }
-                        None => {
-                            state.last_committed.remove(&x);
-                        }
-                    }
-                }
-                committed[slot as usize] = false;
-                state.frontier[s] -= 1;
-                state.started[s] = true;
-                if found {
-                    return true;
+                if self.var_word[x] == UNTRACKED {
+                    self.var_word[x] = (sessions + self.tracked.len()) as u32;
+                    self.tracked.push(x as u32);
                 }
             }
-        } else {
-            // Atomic placement (start = commit) for SER, the weak levels
-            // and `true`.
-            if !preds[slot as usize].iter().all(|&p| committed[p as usize]) {
+        }
+        self.state.clear();
+        self.state.resize(sessions + self.tracked.len(), 0);
+        self.undo.clear();
+        self.failed.clear();
+        self.order.clear();
+        self.order.push(TxId::INIT);
+        self.search(idx)
+    }
+
+    /// The last committed writer of `x`, which must be tracked.
+    fn last_writer(&self, x: Var) -> u32 {
+        self.state[self.var_word[x.0 as usize] as usize]
+    }
+
+    /// Whether every external read of `slot` observes the last committed
+    /// writer of its variable (a snapshot taken now).
+    fn snapshot_ok(&self, idx: &FrontierIndex, slot: usize) -> bool {
+        idx.reads[slot]
+            .iter()
+            .all(|&(x, w)| self.last_writer(x) == w.0)
+    }
+
+    /// Whether every writer `slot` reads from is already committed.
+    fn sources_committed(&self, idx: &FrontierIndex, slot: usize) -> bool {
+        idx.reads[slot].iter().all(|&(_, w)| {
+            w.is_init() || idx.slot_of(w).is_some_and(|ws| self.committed[ws as usize])
+        })
+    }
+
+    /// Whether any started in-progress *Snapshot Isolation* transaction of
+    /// another session visibly writes a variable that `slot` visibly
+    /// writes. The Conflict axiom forbids a conflicting writer from
+    /// committing inside an SI transaction's interval; Prefix Consistency
+    /// has no Conflict axiom, so a started PC interval constrains nobody.
+    fn conflicts_with_started(&self, idx: &FrontierIndex, skip: usize, slot: usize) -> bool {
+        if !self.any_si {
+            return false;
+        }
+        (0..idx.sessions.len()).any(|s| {
+            let word = self.state[s];
+            if s == skip || word & 1 == 0 {
+                return false;
+            }
+            let slot2 = idx.sessions[s][(word >> 1) as usize].1 as usize;
+            self.level[slot2] == IsolationLevel::SnapshotIsolation
+                && idx.visible_writes(slot).any(|x| idx.writes_var(slot2, x))
+        })
+    }
+
+    fn search(&mut self, idx: &FrontierIndex) -> bool {
+        if self.order.len() == idx.len() + 1 {
+            return true;
+        }
+        if self.failed.contains(&self.state[..]) {
+            return false;
+        }
+        for s in 0..idx.sessions.len() {
+            let word = self.state[s];
+            let Some(&(t, slot)) = idx.sessions[s].get((word >> 1) as usize) else {
+                continue;
+            };
+            let slot = slot as usize;
+            let lvl = self.level[slot];
+            let interval = matches!(
+                lvl,
+                IsolationLevel::SnapshotIsolation | IsolationLevel::PrefixConsistency
+            );
+            if interval && word & 1 == 0 {
+                // Start t: snapshot reads, plus — for SI only — write-
+                // conflict freedom against the other in-progress SI
+                // transactions. PC starts are never conflict-constrained.
+                if !self.snapshot_ok(idx, slot)
+                    || (lvl == IsolationLevel::SnapshotIsolation
+                        && self.conflicts_with_started(idx, s, slot))
+                {
+                    continue;
+                }
+                self.state[s] = word | 1;
+                if self.search(idx) {
+                    return true;
+                }
+                self.state[s] = word;
                 continue;
             }
+            // Commit t: the end of a started interval, or an atomic
+            // placement (start = commit) for SER, the weak levels and
+            // `true`. Forced-edge predecessors must be in, and the commit
+            // must not land inside a conflicting started SI interval
+            // (reachable for atomic and PC commits only — two conflicting
+            // SI intervals never overlap by the start rule).
             let reads_ok = match lvl {
+                _ if interval => true,
                 // Serializability: every external read observes the last
                 // committed writer at the placement point.
-                IsolationLevel::Serializability => idx.reads[slot as usize]
-                    .iter()
-                    .all(|(x, w)| state.last_committed.get(x).copied().unwrap_or(TxId::INIT) == *w),
+                IsolationLevel::Serializability => self.snapshot_ok(idx, slot),
                 // Weak levels and `true`: the commit order merely extends
-                // `wr`, so each observed writer must already be committed
-                // (the level's axioms are carried by the forced edges).
-                _ => idx.reads[slot as usize].iter().all(|(_, w)| {
-                    w.is_init() || idx.slot_of(*w).is_some_and(|ws| committed[ws as usize])
-                }),
+                // `wr` (the level's axioms are carried by the forced
+                // edges).
+                _ => self.sources_committed(idx, slot),
             };
-            if !reads_ok || conflicts_with_started(idx, level, state, s, slot) {
+            if !reads_ok
+                || !self.preds[slot].iter().all(|&p| self.committed[p as usize])
+                || self.conflicts_with_started(idx, s, slot)
+            {
                 continue;
             }
-            state.frontier[s] += 1;
-            committed[slot as usize] = true;
-            let mut saved: Vec<(Var, Option<TxId>)> = Vec::new();
-            for x in idx.visible_writes(slot as usize) {
-                saved.push((x, state.last_committed.insert(x, t)));
-            }
-            if let Some(order) = order.as_mut() {
-                order.push(t);
-            }
-            let found = search(idx, level, preds, committed, state, memo, order);
-            if !found {
-                if let Some(order) = order.as_mut() {
-                    order.pop();
+            self.state[s] = (word & !1) + 2;
+            self.committed[slot] = true;
+            let mark = self.undo.len();
+            for x in idx.visible_writes(slot) {
+                let w = self
+                    .var_word
+                    .get(x.0 as usize)
+                    .copied()
+                    .unwrap_or(UNTRACKED);
+                if w != UNTRACKED {
+                    self.undo.push((w, self.state[w as usize]));
+                    self.state[w as usize] = t.0;
                 }
             }
-            for (x, old) in saved.into_iter().rev() {
-                match old {
-                    Some(w) => {
-                        state.last_committed.insert(x, w);
-                    }
-                    None => {
-                        state.last_committed.remove(&x);
-                    }
-                }
-            }
-            committed[slot as usize] = false;
-            state.frontier[s] -= 1;
-            if found {
+            self.order.push(t);
+            if self.search(idx) {
                 return true;
             }
+            self.order.pop();
+            for (w, old) in self.undo.drain(mark..).rev() {
+                self.state[w as usize] = old;
+            }
+            self.committed[slot] = false;
+            self.state[s] = word;
         }
+        self.failed.insert(self.state.as_slice().into());
+        false
     }
-    memo.insert(key);
-    false
 }
 
 #[cfg(test)]
@@ -499,11 +480,13 @@ mod tests {
 
     #[test]
     fn uniform_specs_match_uniform_checkers() {
+        // Uniform specs are the degenerate mixed case: the one search must
+        // reproduce each level's axioms.
         for h in [lost_update(), long_fork(), History::default()] {
             for level in IsolationLevel::ALL {
                 assert_eq!(
                     satisfies_spec(&h, &LevelSpec::uniform(level)),
-                    crate::check::satisfies(&h, level),
+                    crate::axioms::oracle_satisfies(&h, level),
                     "uniform {level} spec diverged on\n{h}"
                 );
             }

@@ -1,188 +1,17 @@
-//! Prefix Consistency checking via a prefix-constrained commit-order
-//! search.
-//!
-//! The Prefix axiom alone (Fig. 2b) is equivalent to the operational
-//! snapshot semantics of Snapshot Isolation *without* write-conflict
-//! freedom (Cerone, Bernardi & Gotsman 2015): every transaction `t` is
-//! assigned a start point `s_t` and a commit point `c_t` with `s_t < c_t`
-//! such that
-//!
-//! * if `(t, t') ∈ so ∪ wr` then `c_t < s_t'`, and
-//! * every external read of `x` in `t'` reads from the transaction with the
-//!   last commit point before `s_t'` among the writers of `x`
-//!
-//! — i.e. each transaction reads from a snapshot that is a *prefix* of the
-//! commit order, but concurrent transactions may write the same variable.
-//! The search mirrors [`crate::check::si`] minus the conflict rule, reuses
-//! the shared `FrontierIndex`, and memoises failed states. Because the
-//! Prefix axiom implies the Causal axiom (the commit order extends
-//! `so ∪ wr`), the [`PcEngine`](crate::check::engine) runs the polynomial
-//! Causal Consistency check as a prerequisite before this search; the
-//! equivalence is cross-validated against the axiom-level oracle by
-//! randomised tests in [`crate::check`].
+//! Prefix Consistency anomalies, decided by the commit-order search of
+//! [`crate::check::mixed`] under a uniform PC spec (test-only module).
 
-use std::collections::{BTreeMap, HashSet};
-
-use crate::check::frontier::FrontierIndex;
-use crate::check::weak;
-use crate::history::History;
-use crate::isolation::IsolationLevel;
-use crate::transaction::TxId;
-use crate::value::Var;
-
-/// Whether the history satisfies Prefix Consistency.
-pub fn satisfies_pc(h: &History) -> bool {
-    // Causal prerequisite: Prefix implies Causal, and the polynomial weak
-    // check prunes most inconsistent histories before the search.
-    weak::satisfies_weak(h, IsolationLevel::CausalConsistency)
-        && satisfies_pc_with(h, &mut FrontierIndex::default(), &mut HashSet::new())
-}
-
-/// The prefix-constrained commit-order search, reusing a caller-owned
-/// per-transaction index (incrementally synced to `h`, see
-/// `FrontierIndex`) and memo table for the failed-state set. The memo is
-/// cleared on entry: its entries are only meaningful within one history.
-/// Callers wanting the causal prerequisite must run it themselves (see
-/// [`satisfies_pc`]).
-pub(crate) fn satisfies_pc_with(
-    h: &History,
-    idx: &mut FrontierIndex,
-    memo: &mut HashSet<StateKey>,
-) -> bool {
-    memo.clear();
-    idx.sync(h);
-    let mut state = PcState {
-        frontier: vec![0; idx.sessions.len()],
-        started: vec![false; idx.sessions.len()],
-        last_committed: BTreeMap::new(),
-    };
-    search(idx, &mut state, memo, &mut None)
-}
-
-/// Like [`satisfies_pc_with`], additionally returning the commit order the
-/// successful search found (init first), for witness reconstruction.
-pub(crate) fn witness_pc(h: &History) -> Option<Vec<TxId>> {
-    let idx = &mut FrontierIndex::default();
-    let memo = &mut HashSet::new();
-    idx.sync(h);
-    let mut state = PcState {
-        frontier: vec![0; idx.sessions.len()],
-        started: vec![false; idx.sessions.len()],
-        last_committed: BTreeMap::new(),
-    };
-    let mut order = Some(vec![TxId::INIT]);
-    search(idx, &mut state, memo, &mut order).then(|| order.unwrap())
-}
-
-struct PcState {
-    /// Index of the next transaction of each session (started or not).
-    frontier: Vec<usize>,
-    /// Whether the current transaction of each session has started but not
-    /// yet committed.
-    started: Vec<bool>,
-    /// Last committed writer of each variable (absent = init).
-    last_committed: BTreeMap<Var, TxId>,
-}
-
-pub(crate) type StateKey = (Vec<(usize, bool)>, Vec<(u32, u32)>);
-
-fn state_key(state: &PcState) -> StateKey {
-    (
-        state
-            .frontier
-            .iter()
-            .copied()
-            .zip(state.started.iter().copied())
-            .collect(),
-        state
-            .last_committed
-            .iter()
-            .map(|(v, t)| (v.0, t.0))
-            .collect(),
-    )
-}
-
-fn search(
-    idx: &FrontierIndex,
-    state: &mut PcState,
-    memo: &mut HashSet<StateKey>,
-    order: &mut Option<Vec<TxId>>,
-) -> bool {
-    let done = state
-        .frontier
-        .iter()
-        .zip(&idx.sessions)
-        .all(|(f, s)| *f == s.len());
-    if done {
-        return true;
-    }
-    let key = state_key(state);
-    if memo.contains(&key) {
-        return false;
-    }
-    for s in 0..idx.sessions.len() {
-        if state.frontier[s] >= idx.sessions[s].len() {
-            continue;
-        }
-        let (t, slot) = idx.sessions[s][state.frontier[s]];
-        if !state.started[s] {
-            // Try to start t: snapshot reads only — unlike SI there is no
-            // write-conflict-freedom requirement.
-            let snapshot_ok = idx.reads[slot as usize]
-                .iter()
-                .all(|(x, w)| state.last_committed.get(x).copied().unwrap_or(TxId::INIT) == *w);
-            if !snapshot_ok {
-                continue;
-            }
-            state.started[s] = true;
-            if search(idx, state, memo, order) {
-                return true;
-            }
-            state.started[s] = false;
-        } else {
-            // Commit t.
-            state.started[s] = false;
-            state.frontier[s] += 1;
-            let mut saved: Vec<(Var, Option<TxId>)> = Vec::new();
-            for x in idx.visible_writes(slot as usize) {
-                saved.push((x, state.last_committed.insert(x, t)));
-            }
-            if let Some(order) = order.as_mut() {
-                order.push(t);
-            }
-            let found = search(idx, state, memo, order);
-            if !found {
-                if let Some(order) = order.as_mut() {
-                    order.pop();
-                }
-            }
-            for (x, old) in saved.into_iter().rev() {
-                match old {
-                    Some(w) => {
-                        state.last_committed.insert(x, w);
-                    }
-                    None => {
-                        state.last_committed.remove(&x);
-                    }
-                }
-            }
-            state.frontier[s] -= 1;
-            state.started[s] = true;
-            if found {
-                return true;
-            }
-        }
-    }
-    memo.insert(key);
-    false
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::check::{engine_for, satisfies};
     use crate::event::{Event, EventId, EventKind};
-    use crate::transaction::SessionId;
-    use crate::value::Value;
+    use crate::history::History;
+    use crate::isolation::IsolationLevel;
+    use crate::transaction::{SessionId, TxId};
+    use crate::value::{Value, Var};
+
+    fn satisfies_pc(h: &History) -> bool {
+        satisfies(h, IsolationLevel::PrefixConsistency)
+    }
 
     struct Builder {
         h: History,
@@ -246,7 +75,7 @@ mod tests {
         b.write(1, x, 2);
         b.commit(1);
         assert!(satisfies_pc(&b.h));
-        assert!(!super::super::si::satisfies_si(&b.h));
+        assert!(!satisfies(&b.h, IsolationLevel::SnapshotIsolation));
     }
 
     #[test]
@@ -272,10 +101,7 @@ mod tests {
         b.read(3, x, TxId::INIT);
         b.commit(3);
         assert!(!satisfies_pc(&b.h));
-        assert!(super::super::weak::satisfies_weak(
-            &b.h,
-            IsolationLevel::CausalConsistency
-        ));
+        assert!(satisfies(&b.h, IsolationLevel::CausalConsistency));
     }
 
     #[test]
@@ -319,11 +145,12 @@ mod tests {
         b.read(1, x, TxId::INIT);
         b.write(1, x, 2);
         b.commit(1);
-        let order = witness_pc(&b.h).expect("lost update is PC-consistent");
+        let verdict = engine_for(IsolationLevel::PrefixConsistency).check_witnessed(&b.h);
+        let witness = verdict.witness().expect("lost update is PC-consistent");
         assert!(crate::axioms::check_with_order(
             &b.h,
             IsolationLevel::PrefixConsistency,
-            &order
+            &witness.commit_order
         ));
     }
 }

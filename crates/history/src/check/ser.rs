@@ -1,138 +1,17 @@
-//! Serializability checking by memoised search over commit prefixes.
-//!
-//! A history satisfies the Serializability axiom (Fig. 2d) iff the
-//! transactions can be arranged in a total order extending `so ∪ wr` such
-//! that every external read of a variable `x` reads from the *last*
-//! transaction writing `x` that precedes the reader in the order. The
-//! search enumerates such orders session-frontier by session-frontier and
-//! memoises failed states, which makes it polynomial for a fixed number of
-//! sessions (the setting of the paper's benchmarks, following
-//! Biswas & Enea 2019).
+//! Serializability anomalies, decided by the commit-order search of
+//! [`crate::check::mixed`] under a uniform SER spec (test-only module).
 
-use std::collections::{BTreeMap, HashSet};
-
-use crate::check::frontier::FrontierIndex;
-use crate::history::History;
-use crate::transaction::TxId;
-use crate::value::Var;
-
-/// Whether the history satisfies Serializability.
-pub fn satisfies_ser(h: &History) -> bool {
-    satisfies_ser_with(h, &mut FrontierIndex::default(), &mut HashSet::new())
-}
-
-/// Like [`satisfies_ser`], reusing a caller-owned per-transaction index
-/// (incrementally synced to `h`, see [`FrontierIndex`]) and memo table for
-/// the failed-state set, so that engines avoid rebuilding either per
-/// history. The memo is cleared on entry: its entries are only meaningful
-/// within one history.
-pub(crate) fn satisfies_ser_with(
-    h: &History,
-    idx: &mut FrontierIndex,
-    memo: &mut HashSet<StateKey>,
-) -> bool {
-    memo.clear();
-    idx.sync(h);
-    let mut frontier = vec![0usize; idx.sessions.len()];
-    let mut last_writer: BTreeMap<Var, TxId> = BTreeMap::new();
-    search(idx, &mut frontier, &mut last_writer, memo, &mut None)
-}
-
-/// Like [`satisfies_ser`], additionally returning the serialization order
-/// the successful search found (init first), for witness reconstruction.
-pub(crate) fn witness_ser(h: &History) -> Option<Vec<TxId>> {
-    let idx = &mut FrontierIndex::default();
-    idx.sync(h);
-    let mut frontier = vec![0usize; idx.sessions.len()];
-    let mut last_writer: BTreeMap<Var, TxId> = BTreeMap::new();
-    let mut order = Some(vec![TxId::INIT]);
-    search(
-        idx,
-        &mut frontier,
-        &mut last_writer,
-        &mut HashSet::new(),
-        &mut order,
-    )
-    .then(|| order.unwrap())
-}
-
-pub(crate) type StateKey = (Vec<usize>, Vec<(u32, u32)>);
-
-fn state_key(frontier: &[usize], last_writer: &BTreeMap<Var, TxId>) -> StateKey {
-    (
-        frontier.to_vec(),
-        last_writer.iter().map(|(v, t)| (v.0, t.0)).collect(),
-    )
-}
-
-fn search(
-    idx: &FrontierIndex,
-    frontier: &mut Vec<usize>,
-    last_writer: &mut BTreeMap<Var, TxId>,
-    memo: &mut HashSet<StateKey>,
-    order: &mut Option<Vec<TxId>>,
-) -> bool {
-    if frontier
-        .iter()
-        .zip(&idx.sessions)
-        .all(|(f, s)| *f == s.len())
-    {
-        return true;
-    }
-    let key = state_key(frontier, last_writer);
-    if memo.contains(&key) {
-        return false;
-    }
-    for s in 0..idx.sessions.len() {
-        if frontier[s] >= idx.sessions[s].len() {
-            continue;
-        }
-        let (t, slot) = idx.sessions[s][frontier[s]];
-        // Every external read must read from the currently-last writer.
-        let ok = idx.reads[slot as usize]
-            .iter()
-            .all(|(x, w)| last_writer.get(x).copied().unwrap_or(TxId::INIT) == *w);
-        if !ok {
-            continue;
-        }
-        // Append t.
-        frontier[s] += 1;
-        let mut saved: Vec<(Var, Option<TxId>)> = Vec::new();
-        for x in idx.visible_writes(slot as usize) {
-            saved.push((x, last_writer.insert(x, t)));
-        }
-        if let Some(order) = order.as_mut() {
-            order.push(t);
-        }
-        if search(idx, frontier, last_writer, memo, order) {
-            return true;
-        }
-        // Undo.
-        if let Some(order) = order.as_mut() {
-            order.pop();
-        }
-        for (x, old) in saved.into_iter().rev() {
-            match old {
-                Some(w) => {
-                    last_writer.insert(x, w);
-                }
-                None => {
-                    last_writer.remove(&x);
-                }
-            }
-        }
-        frontier[s] -= 1;
-    }
-    memo.insert(key);
-    false
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::check::satisfies;
     use crate::event::{Event, EventId, EventKind};
-    use crate::transaction::SessionId;
-    use crate::value::Value;
+    use crate::history::History;
+    use crate::isolation::IsolationLevel;
+    use crate::transaction::{SessionId, TxId};
+    use crate::value::{Value, Var};
+
+    fn satisfies_ser(h: &History) -> bool {
+        satisfies(h, IsolationLevel::Serializability)
+    }
 
     struct Builder {
         h: History,

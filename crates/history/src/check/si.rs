@@ -1,185 +1,17 @@
-//! Snapshot Isolation checking via the start/commit interval semantics.
-//!
-//! The Prefix and Conflict axioms (Fig. 2b, 2c) are equivalent to the
-//! classical operational definition of Snapshot Isolation (Cerone, Bernardi
-//! & Gotsman 2015; Biswas & Enea 2019): every transaction `t` is assigned a
-//! start point `s_t` and a commit point `c_t` with `s_t < c_t` such that
-//!
-//! * if `(t, t') ∈ so ∪ wr` then `c_t < s_t'`,
-//! * every external read of `x` in `t'` reads from the transaction with the
-//!   last commit point before `s_t'` among the writers of `x`, and
-//! * two distinct transactions writing a common variable have disjoint
-//!   `[s, c]` intervals (write-conflict freedom).
-//!
-//! The checker searches over interleavings of start/commit steps with
-//! memoisation of failed states; this equivalence is cross-validated
-//! against the axiom-level oracle by randomised tests in [`crate::check`].
+//! Snapshot Isolation anomalies, decided by the commit-order search of
+//! [`crate::check::mixed`] under a uniform SI spec (test-only module).
 
-use std::collections::{BTreeMap, HashSet};
-
-use crate::check::frontier::FrontierIndex;
-use crate::history::History;
-use crate::transaction::TxId;
-use crate::value::Var;
-
-/// Whether the history satisfies Snapshot Isolation.
-pub fn satisfies_si(h: &History) -> bool {
-    satisfies_si_with(h, &mut FrontierIndex::default(), &mut HashSet::new())
-}
-
-/// Like [`satisfies_si`], reusing a caller-owned per-transaction index
-/// (incrementally synced to `h`, see [`FrontierIndex`]) and memo table for
-/// the failed-state set. The memo is cleared on entry: its entries are only
-/// meaningful within one history.
-pub(crate) fn satisfies_si_with(
-    h: &History,
-    idx: &mut FrontierIndex,
-    memo: &mut HashSet<StateKey>,
-) -> bool {
-    memo.clear();
-    idx.sync(h);
-    let mut state = SiState {
-        frontier: vec![0; idx.sessions.len()],
-        started: vec![false; idx.sessions.len()],
-        last_committed: BTreeMap::new(),
-    };
-    search(idx, &mut state, memo, &mut None)
-}
-
-/// Like [`satisfies_si`], additionally returning the commit order the
-/// successful search found (init first), for witness reconstruction.
-pub(crate) fn witness_si(h: &History) -> Option<Vec<TxId>> {
-    let idx = &mut FrontierIndex::default();
-    idx.sync(h);
-    let mut state = SiState {
-        frontier: vec![0; idx.sessions.len()],
-        started: vec![false; idx.sessions.len()],
-        last_committed: BTreeMap::new(),
-    };
-    let mut order = Some(vec![TxId::INIT]);
-    search(idx, &mut state, &mut HashSet::new(), &mut order).then(|| order.unwrap())
-}
-
-struct SiState {
-    /// Index of the next transaction of each session (started or not).
-    frontier: Vec<usize>,
-    /// Whether the current transaction of each session has started but not
-    /// yet committed.
-    started: Vec<bool>,
-    /// Last committed writer of each variable (absent = init).
-    last_committed: BTreeMap<Var, TxId>,
-}
-
-pub(crate) type StateKey = (Vec<(usize, bool)>, Vec<(u32, u32)>);
-
-fn state_key(state: &SiState) -> StateKey {
-    (
-        state
-            .frontier
-            .iter()
-            .copied()
-            .zip(state.started.iter().copied())
-            .collect(),
-        state
-            .last_committed
-            .iter()
-            .map(|(v, t)| (v.0, t.0))
-            .collect(),
-    )
-}
-
-fn search(
-    idx: &FrontierIndex,
-    state: &mut SiState,
-    memo: &mut HashSet<StateKey>,
-    order: &mut Option<Vec<TxId>>,
-) -> bool {
-    let done = state
-        .frontier
-        .iter()
-        .zip(&idx.sessions)
-        .all(|(f, s)| *f == s.len());
-    if done {
-        return true;
-    }
-    let key = state_key(state);
-    if memo.contains(&key) {
-        return false;
-    }
-    for s in 0..idx.sessions.len() {
-        if state.frontier[s] >= idx.sessions[s].len() {
-            continue;
-        }
-        let (t, slot) = idx.sessions[s][state.frontier[s]];
-        if !state.started[s] {
-            // Try to start t: snapshot reads + write-conflict freedom.
-            let snapshot_ok = idx.reads[slot as usize]
-                .iter()
-                .all(|(x, w)| state.last_committed.get(x).copied().unwrap_or(TxId::INIT) == *w);
-            if !snapshot_ok {
-                continue;
-            }
-            let conflict_free = idx.visible_writes(slot as usize).all(|x| {
-                (0..idx.sessions.len()).all(|s2| {
-                    if s2 == s || !state.started[s2] {
-                        return true;
-                    }
-                    let (_, slot2) = idx.sessions[s2][state.frontier[s2]];
-                    !idx.writes_var(slot2 as usize, x)
-                })
-            });
-            if !conflict_free {
-                continue;
-            }
-            state.started[s] = true;
-            if search(idx, state, memo, order) {
-                return true;
-            }
-            state.started[s] = false;
-        } else {
-            // Commit t.
-            state.started[s] = false;
-            state.frontier[s] += 1;
-            let mut saved: Vec<(Var, Option<TxId>)> = Vec::new();
-            for x in idx.visible_writes(slot as usize) {
-                saved.push((x, state.last_committed.insert(x, t)));
-            }
-            if let Some(order) = order.as_mut() {
-                order.push(t);
-            }
-            let found = search(idx, state, memo, order);
-            if !found {
-                if let Some(order) = order.as_mut() {
-                    order.pop();
-                }
-            }
-            for (x, old) in saved.into_iter().rev() {
-                match old {
-                    Some(w) => {
-                        state.last_committed.insert(x, w);
-                    }
-                    None => {
-                        state.last_committed.remove(&x);
-                    }
-                }
-            }
-            state.frontier[s] -= 1;
-            state.started[s] = true;
-            if found {
-                return true;
-            }
-        }
-    }
-    memo.insert(key);
-    false
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::check::satisfies;
     use crate::event::{Event, EventId, EventKind};
-    use crate::transaction::SessionId;
-    use crate::value::Value;
+    use crate::history::History;
+    use crate::isolation::IsolationLevel;
+    use crate::transaction::{SessionId, TxId};
+    use crate::value::{Value, Var};
+
+    fn satisfies_si(h: &History) -> bool {
+        satisfies(h, IsolationLevel::SnapshotIsolation)
+    }
 
     struct Builder {
         h: History,
@@ -299,7 +131,7 @@ mod tests {
         b.write(1, x, 2);
         b.commit(1);
         assert!(!satisfies_si(&b.h));
-        assert!(!super::super::ser::satisfies_ser(&b.h));
+        assert!(!satisfies(&b.h, IsolationLevel::Serializability));
         // Without the write(x,2) (the blue event in Fig. 6) it satisfies SI.
         let mut b = Builder::new();
         b.begin(0);

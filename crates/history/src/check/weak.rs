@@ -321,33 +321,6 @@ impl WeakIndex {
         (order.len() == n).then_some(order)
     }
 
-    /// A topological order of the base graph alone (`so ∪ wr`, forced edges
-    /// ignored), init first — the witness commit order for the trivial
-    /// level, which imposes no axioms beyond well-formedness. `None` only
-    /// for a malformed (cyclic `so ∪ wr`) history.
-    pub(crate) fn base_topological_order(&mut self) -> Option<Vec<TxId>> {
-        debug_assert!(self.synced, "base_topological_order on an unsynced index");
-        let n = self.txs.len();
-        let mut indeg = vec![0usize; n];
-        for v in 0..n {
-            for &w in self.graph.successors(v) {
-                indeg[w] += 1;
-            }
-        }
-        let mut queue: VecDeque<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            order.push(self.txs[v as usize]);
-            for &w in self.graph.successors(v as usize) {
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    queue.push_back(w as u32);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
-    }
-
     /// Collects the commit-order edges forced by the axiom instances into
     /// `self.forced`, each read contributing under *its reader's* level
     /// (readers at `true`/SI/SER contribute nothing).

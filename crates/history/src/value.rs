@@ -7,6 +7,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// A database value: an integer or a finite set of integer ids.
 ///
@@ -123,7 +124,14 @@ impl fmt::Display for Var {
     }
 }
 
+/// Why locking a shared [`VarTable`] cannot fail: holders only intern or
+/// copy names under the lock, neither of which panics.
+const POISONED: &str = "no thread panicked while holding a shared variable table";
+
 /// Interning table mapping global-variable names to [`Var`] identifiers.
+///
+/// A table may be the local cache of a shared one ([`VarTable::backed_by`]),
+/// so that threads interning names concurrently agree on every identifier.
 ///
 /// # Examples
 ///
@@ -138,6 +146,10 @@ impl fmt::Display for Var {
 pub struct VarTable {
     names: Vec<String>,
     index: HashMap<String, Var>,
+    /// The table this one caches a prefix of: names missing here are
+    /// interned there, so every cache of one shared table allocates the
+    /// same identifiers.
+    shared: Option<Arc<Mutex<VarTable>>>,
 }
 
 impl VarTable {
@@ -146,15 +158,45 @@ impl VarTable {
         Self::default()
     }
 
+    /// Creates a local cache of `shared` holding its current names. Only a
+    /// name missing from the cache locks the shared table (to intern it
+    /// there and copy every name allocated since), so caches of one shared
+    /// table always agree on identifiers.
+    pub fn backed_by(shared: Arc<Mutex<VarTable>>) -> Self {
+        let mut table = VarTable {
+            shared: Some(shared),
+            ..VarTable::default()
+        };
+        table.catch_up();
+        table
+    }
+
     /// Interns `name`, returning its identifier (allocating one if new).
     pub fn intern(&mut self, name: &str) -> Var {
         if let Some(v) = self.index.get(name) {
             return *v;
         }
+        if let Some(shared) = &self.shared {
+            let v = shared.lock().expect(POISONED).intern(name);
+            self.catch_up();
+            return v;
+        }
         let v = Var(self.names.len() as u32);
         self.names.push(name.to_owned());
         self.index.insert(name.to_owned(), v);
         v
+    }
+
+    /// Copies the names the shared table holds beyond this cache.
+    fn catch_up(&mut self) {
+        let Some(shared) = &self.shared else {
+            return;
+        };
+        let table = shared.lock().expect(POISONED);
+        for (i, name) in table.names.iter().enumerate().skip(self.names.len()) {
+            self.index.insert(name.clone(), Var(i as u32));
+            self.names.push(name.clone());
+        }
     }
 
     /// Looks up the identifier of an already-interned name.
@@ -241,5 +283,28 @@ mod tests {
         assert_eq!(t.get("y"), Some(y));
         let all: Vec<_> = t.iter().map(|(_, n)| n.to_owned()).collect();
         assert_eq!(all, vec!["x", "y"]);
+    }
+
+    #[test]
+    fn caches_of_one_shared_table_agree_on_identifiers() {
+        let mut seed = VarTable::new();
+        seed.intern("x");
+        let shared = Arc::new(Mutex::new(seed));
+        let mut a = VarTable::backed_by(Arc::clone(&shared));
+        let mut b = VarTable::backed_by(Arc::clone(&shared));
+        // Opposite first-use orders would number these differently in
+        // independent tables.
+        let (a1, a2) = (a.intern("row[1]"), a.intern("row[2]"));
+        let (b2, b1) = (b.intern("row[2]"), b.intern("row[1]"));
+        assert_eq!((a1, a2), (b1, b2));
+        assert_eq!(b.intern("x"), Var(0));
+        assert_eq!(a.len(), 3, "a miss copies every name allocated since");
+        let names: Vec<_> = shared
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(_, n)| n.to_owned())
+            .collect();
+        assert_eq!(names, ["x", "row[1]", "row[2]"]);
     }
 }
