@@ -2,18 +2,17 @@
 //! *"Dynamic Partial Order Reduction for Checking Correctness against
 //! Transaction Isolation Levels"*.
 //!
-//! Each table and figure of §7.3 / Appendix F has a dedicated binary and a
-//! Criterion benchmark:
+//! Each table and figure of §7.3 / Appendix F has a dedicated binary:
 //!
-//! | Paper artefact | Binary | Criterion bench |
-//! |---|---|---|
-//! | Fig. 14a/b/c (cactus plots) | `fig14` | `bench_fig14` |
-//! | Table F.1 (application scalability detail) | `table_f1` | — |
-//! | Fig. 15a (session scalability) | `fig15a` | `bench_fig15a` |
-//! | Table F.2 | `table_f2` | — |
-//! | Fig. 15b (transaction scalability) | `fig15b` | `bench_fig15b` |
-//! | Table F.3 | `table_f3` | — |
-//! | Ablation of the `Optimality` condition | `ablation` | `bench_ablation` |
+//! | Paper artefact | Binary |
+//! |---|---|
+//! | Fig. 14a/b/c (cactus plots) | `fig14` |
+//! | Table F.1 (application scalability detail) | `table_f1` |
+//! | Fig. 15a (session scalability) | `fig15a` |
+//! | Table F.2 | `table_f2` |
+//! | Fig. 15b (transaction scalability) | `fig15b` |
+//! | Table F.3 | `table_f3` |
+//! | Ablation of the `Optimality` condition | `ablation` |
 //!
 //! The binaries accept `--full` (paper-sized configuration with 30-minute
 //! timeouts), `--timeout <s>`, `--variants <n>`, `--sessions <n>` and

@@ -249,11 +249,7 @@ pub struct ExplorationReport {
     /// scanned (each skip is a transaction the dynamic `writes_var`
     /// filter would have rejected read by read).
     pub statically_pruned: u64,
-    /// Total consistency checks served by the exploration-level engines.
-    pub engine_checks: u64,
-    /// Consistency checks answered from the engines' fingerprint memo.
-    pub engine_memo_hits: u64,
-    /// Remaining engine counters (memo misses/evictions/occupancy, the
+    /// Engine counters (checks, memo hits/misses/evictions/occupancy, the
     /// incremental-sync vs full-rebuild split and the total nanoseconds
     /// spent inside `check`), summed over every engine of the run.
     pub engine_stats: EngineStats,

@@ -84,10 +84,7 @@ pub fn dfs_explore(
     let start = Instant::now();
     let mut initial = initial_history(program, &mut dfs.vars);
     dfs.explore(&mut initial)?;
-    let stats = dfs.checker.stats();
-    dfs.report.engine_checks = stats.checks;
-    dfs.report.engine_memo_hits = stats.memo_hits;
-    dfs.report.engine_stats = stats;
+    dfs.report.engine_stats = dfs.checker.stats();
     dfs.report.components = dfs.checker.components();
     dfs.report.largest_component = dfs.checker.largest_component();
     let mut report = dfs.report;

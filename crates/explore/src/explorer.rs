@@ -276,8 +276,6 @@ fn explore_parallel(
 fn merge_worker(report: &mut ExplorationReport, worker: ExplorationReport) {
     report.explore_calls += worker.explore_calls;
     report.end_states += worker.end_states;
-    report.engine_checks += worker.engine_checks;
-    report.engine_memo_hits += worker.engine_memo_hits;
     report.engine_stats.absorb(&worker.engine_stats);
     report.outputs += worker.outputs;
     report.blocked += worker.blocked;
@@ -431,8 +429,6 @@ impl<'a> Explorer<'a> {
                 .largest_component
                 .max(output.largest_component());
         }
-        self.report.engine_checks += stats.checks;
-        self.report.engine_memo_hits += stats.memo_hits;
         self.report.engine_stats.absorb(&stats);
     }
 

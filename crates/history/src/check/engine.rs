@@ -5,21 +5,28 @@
 //! trial history with every candidate writer, `Optimality` re-checks pruned
 //! prefixes, and a swap only changes a suffix of the previous candidate.
 //! The free functions in [`crate::check`] recompute everything from scratch
-//! on every call; the engines here make the hot path incremental:
+//! on every call; the engines here make the hot path incremental.
 //!
-//! * every engine owns an **incrementally synced index** over the history
-//!   it last saw (transaction vertex tables, writers-per-variable lists,
-//!   axiom instances, word-packed reachability, the commit-order search's
-//!   per-transaction view), kept current through the history's mutation-observer API — see
-//!   *Syncing from the delta log* below — so a check after one appended
-//!   event or one toggled wr edge pays delta cost, not a rebuild;
-//! * every engine owns a **result memo keyed by the rolling structural
-//!   hash** ([`History::live_hash`]): the flat-arena history maintains the
-//!   128-bit key incrementally on every push/pop/set-wr, so a memo lookup
-//!   is a load instead of a walk of the history. Re-deciding a history
-//!   that is structurally equal to one seen before (e.g. the unchanged
-//!   prefix re-reached after a rollback or a swap) is a single hash
-//!   lookup.
+//! There are two: [`TrivialEngine`] for uniform `true`, which accepts
+//! everything, and [`Engine`] for every other spec, uniform or mixed. An
+//! `Engine` picks the procedure of [`crate::check::mixed`] its spec needs
+//! (forced-edge acyclicity alone, or the commit-order search) once, when
+//! it is built, and adds two things:
+//!
+//! * **incrementally synced indexes** over the history it last saw
+//!   (transaction vertex tables, writers-per-variable lists, axiom
+//!   instances, word-packed reachability, the commit-order search's
+//!   per-transaction view), kept current through the history's
+//!   mutation-observer API — see *Syncing from the delta log* below — so a
+//!   check after one appended event or one toggled wr edge pays delta
+//!   cost, not a rebuild;
+//! * a **result memo keyed by the rolling structural hash**
+//!   ([`History::live_hash`]) folded with the spec's hash: the flat-arena
+//!   history maintains the 128-bit key incrementally on every
+//!   push/pop/set-wr, so a memo lookup is a load instead of a walk of the
+//!   history. Re-deciding a history that is structurally equal to one seen
+//!   before (e.g. the unchanged prefix re-reached after a rollback or a
+//!   swap) is a single hash lookup.
 //!
 //! # Syncing from the delta log
 //!
@@ -28,18 +35,20 @@
 //! ([`History::generation`]) and a bounded chronological log of
 //! self-contained mutation records ([`History::deltas_since`], entries of
 //! type [`crate::history::HistoryDelta`]); rollbacks emit the *inverse*
-//! deltas of the operations they undo. An engine remembers the
+//! deltas of the operations they undo. Each index remembers the
 //! `(uid, generation)` it is synced to and, on the next memo miss, replays
 //! the missing window: forward deltas update the index and push an undo
 //! record (dirtied reachability rows are saved first), inverse deltas pop
 //! and restore those records in LIFO order — mirroring the history's own
 //! checkpoint/undo journal — or, when the matching forward delta predates
-//! the engine's last rebuild, are applied destructively. Anything the
-//! engine cannot replay (another history's uid, a trimmed window, an
+//! the index's last rebuild, are applied destructively. Anything an index
+//! cannot replay (another history's uid, a trimmed window, an
 //! out-of-po-order wr insertion, a non-LIFO inverse) falls back to a full
-//! rebuild; [`EngineStats::incremental_hits`] / [`EngineStats::full_rebuilds`]
-//! expose the split, and [`EngineStats::check_nanos`] the time spent
-//! deciding misses.
+//! rebuild. Every memo miss counts once: in
+//! [`EngineStats::full_rebuilds`] if an index synced for it rebuilt, in
+//! [`EngineStats::incremental_hits`] otherwise (an unchanged history
+//! included), so the two add up to [`EngineStats::memo_misses`];
+//! [`EngineStats::check_nanos`] is the time spent deciding misses.
 //!
 //! # Incrementality contract
 //!
@@ -59,7 +68,7 @@
 //! key bit) that grows geometrically up to [`MEMO_CAPACITY`] slots;
 //! colliding keys simply evict, so memory stays hard-bounded no matter how
 //! long the exploration runs. Scratch buffers (the one-pass saturation
-//! index of the weak engine, the state vector and failed-state set of the
+//! index of the weak readers, the state vector and failed-state set of the
 //! commit-order search) likewise survive arbitrarily many
 //! checkpoint/rollback cycles of the histories they are fed.
 
@@ -67,8 +76,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::check::evidence::{self, Verdict, Witness};
+use crate::check::mixed;
 use crate::check::shared::SharedMemo;
-use crate::check::{mixed, weak};
 use crate::history::History;
 use crate::isolation::{IsolationLevel, LevelSpec};
 
@@ -101,11 +110,14 @@ pub struct EngineStats {
     pub memo_occupied: u64,
     /// Capacity (slots) of the memo table at observation time.
     pub memo_slots: u64,
-    /// Memo misses served by an incremental index sync (delta replay, no
-    /// rebuild). Zero for engines without incremental state (`Trivial`).
+    /// Memo misses decided without rebuilding an index: every index the
+    /// decision needed replayed the history's deltas, or the history was
+    /// the one decided last. Zero for [`TrivialEngine`], which has no
+    /// indexes.
     pub incremental_hits: u64,
-    /// Memo misses that fell back to rebuilding the engine's index from
-    /// scratch.
+    /// Memo misses for which an index fell back to rebuilding from
+    /// scratch. `incremental_hits + full_rebuilds = memo_misses` for
+    /// [`Engine`].
     pub full_rebuilds: u64,
     /// Memo hits served by the cross-worker [`SharedMemo`] (a subset of
     /// `memo_hits`): verdicts another worker published first. Zero for
@@ -158,8 +170,9 @@ impl EngineStats {
 /// [`IsolationLevel::satisfies`], [`LevelSpec::satisfies`]) remain as thin
 /// wrappers over fresh indexes.
 pub trait ConsistencyChecker: Send {
-    /// The level specification this engine decides: uniform for the
-    /// trivial and weak engines, the full assignment for the mixed engine.
+    /// The level specification this engine decides: uniform `true` for
+    /// [`TrivialEngine`], the spec it was built for (uniform or mixed) for
+    /// [`Engine`].
     fn spec(&self) -> LevelSpec;
 
     /// The single isolation level this engine decides.
@@ -188,12 +201,12 @@ pub trait ConsistencyChecker: Send {
     /// counts as a regular [`check`](ConsistencyChecker::check) in
     /// [`stats`](ConsistencyChecker::stats)). A consistent verdict carries
     /// the witness of the pass that decided it: the commit order the
-    /// search recorded, or the topological order of the weak engines'
-    /// synced index; a verdict served by the memo re-derives it from the
-    /// engine's own indexes. An inconsistent verdict's violation core is
-    /// reconstructed on demand over fresh indexes
-    /// ([`crate::check::evidence`]), so the 16-byte memo slots never store
-    /// evidence.
+    /// search recorded, or the order in which the acyclicity test of
+    /// `so ∪ wr ∪ forced` visited the transactions; a verdict served by
+    /// the memo re-decides the history once on the engine's own indexes to
+    /// get it. An inconsistent verdict's violation core is reconstructed on
+    /// demand over fresh indexes ([`crate::check::evidence`]), so the
+    /// 16-byte memo slots never store evidence.
     fn check_witnessed(&mut self, h: &History) -> Verdict;
 
     /// Attaches a cross-worker [`SharedMemo`]: the engine consults it
@@ -224,17 +237,7 @@ pub fn engine_for(level: IsolationLevel) -> Box<dyn ConsistencyChecker> {
 /// of the stateless free functions (used by the `no-memo` benchmark
 /// configurations); scratch-buffer reuse stays on either way.
 pub fn engine_for_with(level: IsolationLevel, memoize: bool) -> Box<dyn ConsistencyChecker> {
-    match level {
-        IsolationLevel::Trivial => Box::new(TrivialEngine::default()),
-        IsolationLevel::ReadCommitted
-        | IsolationLevel::ReadAtomic
-        | IsolationLevel::CausalConsistency => Box::new(WeakEngine::new(level, memoize)),
-        IsolationLevel::PrefixConsistency
-        | IsolationLevel::SnapshotIsolation
-        | IsolationLevel::Serializability => {
-            Box::new(MixedEngine::new(LevelSpec::uniform(level), memoize))
-        }
-    }
+    engine_for_spec_with(&LevelSpec::uniform(level), memoize)
 }
 
 /// Creates the engine for a level specification, with result memoisation
@@ -243,23 +246,23 @@ pub fn engine_for_spec(spec: &LevelSpec) -> Box<dyn ConsistencyChecker> {
     engine_for_spec_with(spec, true)
 }
 
-/// Creates the engine for a level specification: [`engine_for_with`] for a
-/// uniform spec, the [`MixedEngine`] for a genuinely mixed one (uniform
-/// PC, SI and SER specs get a [`MixedEngine`] either way).
+/// Creates the engine for a level specification: the [`TrivialEngine`] for
+/// uniform `true`, an [`Engine`] for every other spec.
 pub fn engine_for_spec_with(spec: &LevelSpec, memoize: bool) -> Box<dyn ConsistencyChecker> {
     match spec.as_uniform() {
-        Some(level) => engine_for_with(level, memoize),
-        None => Box::new(MixedEngine::new(spec.clone(), memoize)),
+        Some(IsolationLevel::Trivial) => Box::new(TrivialEngine::default()),
+        _ => Box::new(Engine::new(spec.clone(), memoize)),
     }
 }
 
-/// The shared result memo: a direct-mapped cache over 128-bit keys.
+/// The engine's result memo: a direct-mapped cache over 128-bit keys.
 ///
 /// Keys are the [`History::live_hash`] — the rolling structural hash the
-/// flat-arena history maintains incrementally, so a lookup costs a load
-/// and one table probe, no walk and no allocation (hash compaction, as
-/// classically used for visited-state sets in stateless model checking;
-/// the collision probability is negligible at 127 bits — the lowest key
+/// flat-arena history maintains incrementally — with the engine's spec
+/// hash folded in, so a lookup costs a load and one table probe, no walk
+/// and no allocation (hash compaction, as classically used for
+/// visited-state sets in stateless model checking; the collision
+/// probability is negligible at 127 bits — the lowest key
 /// bit carries the memoised verdict). Slots hold `(key.0, key.1 | verdict)`
 /// with `(0, 0)` as the empty sentinel; a colliding key overwrites the
 /// previous occupant (lossy, never incorrect: verdicts are only trusted on
@@ -273,11 +276,11 @@ struct Memo {
     occupied: usize,
     enabled: bool,
     /// Cross-worker verdict table consulted before the private slots (and
-    /// published to on every insert), keyed by `live_hash ⊕ spec_hash` —
-    /// `shared_salt` folds the engine's spec hash into keys that do not
-    /// already carry it. `None` outside parallel exploration.
+    /// published to on every insert), under the same keys. `None` outside
+    /// parallel exploration.
     shared: Option<Arc<SharedMemo>>,
-    shared_salt: u64,
+    /// The engine's counters: the memo's own, plus the sync split and the
+    /// deciding time that [`Engine::check`] adds.
     stats: EngineStats,
 }
 
@@ -288,23 +291,12 @@ impl Memo {
             occupied: 0,
             enabled,
             shared: None,
-            shared_salt: 0,
             stats: EngineStats::default(),
         }
     }
 
-    /// Attaches a cross-worker shared memo. `salt` is XOR-folded into the
-    /// first key word before every shared lookup/publish; engines whose
-    /// private keys already fold their spec hash pass 0, the weak engine
-    /// passes its uniform spec's hash, so shared keys are
-    /// uniformly `live_hash ⊕ spec_hash` across all engine kinds.
-    fn attach_shared(&mut self, memo: Arc<SharedMemo>, salt: u64) {
-        self.shared = Some(memo);
-        self.shared_salt = salt;
-    }
-
-    /// Looks up a key (normally the history's [`History::live_hash`],
-    /// optionally folded with a spec hash), returning either the memoised
+    /// Looks up a key (the history's [`History::live_hash`] folded with
+    /// the engine's spec hash), returning either the memoised
     /// verdict or the key to insert the freshly computed verdict under
     /// (`None` when memoisation is disabled). The shared cross-worker
     /// table, when attached, is consulted before the private slots — a
@@ -316,7 +308,7 @@ impl Memo {
             return Err(None);
         }
         if let Some(shared) = &self.shared {
-            if let Some(v) = shared.lookup((key.0 ^ self.shared_salt, key.1)) {
+            if let Some(v) = shared.lookup(key) {
                 self.stats.memo_hits += 1;
                 self.stats.shared_memo_hits += 1;
                 return Ok(v);
@@ -336,7 +328,7 @@ impl Memo {
     fn insert(&mut self, key: Option<(u64, u64)>, verdict: bool) {
         let Some(key) = key else { return };
         if let Some(shared) = &self.shared {
-            shared.publish((key.0 ^ self.shared_salt, key.1), verdict);
+            shared.publish(key, verdict);
         }
         if self.slots.is_empty() {
             self.slots.resize(MEMO_INITIAL_SLOTS, (0, 0));
@@ -405,10 +397,8 @@ impl ConsistencyChecker for TrivialEngine {
     /// Any topological order of `so ∪ wr` witnesses the trivial level.
     fn check_witnessed(&mut self, h: &History) -> Verdict {
         self.check(h);
-        let mut idx = weak::WeakIndex::new_spec(LevelSpec::uniform(IsolationLevel::Trivial));
-        idx.sync(h);
-        let commit_order = idx
-            .witness_order()
+        let commit_order = mixed::Decider::new(self.spec())
+            .witness(h)
             .expect("a well-formed history's so ∪ wr is acyclic");
         Verdict::Consistent(Witness { commit_order })
     }
@@ -422,135 +412,39 @@ impl ConsistencyChecker for TrivialEngine {
     }
 }
 
-/// Engine for the polynomial-time levels (Read Committed, Read Atomic,
-/// Causal Consistency): saturation of the forced commit-order edges with a
-/// word-packed causal-reachability matrix, plus the fingerprint memo.
-#[derive(Debug)]
-pub struct WeakEngine {
-    level: IsolationLevel,
-    memo: Memo,
-    idx: weak::WeakIndex,
-    nanos: u64,
-}
-
-impl WeakEngine {
-    /// Creates an engine for one of `{RC, RA, CC}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a level outside `{RC, RA, CC}`.
-    pub fn new(level: IsolationLevel, memoize: bool) -> Self {
-        assert!(
-            matches!(
-                level,
-                IsolationLevel::ReadCommitted
-                    | IsolationLevel::ReadAtomic
-                    | IsolationLevel::CausalConsistency
-            ),
-            "WeakEngine only handles RC/RA/CC, got {level}"
-        );
-        WeakEngine {
-            level,
-            memo: Memo::new(memoize),
-            idx: weak::WeakIndex::new(level),
-            nanos: 0,
-        }
-    }
-}
-
-impl ConsistencyChecker for WeakEngine {
-    fn spec(&self) -> LevelSpec {
-        LevelSpec::uniform(self.level)
-    }
-
-    fn level(&self) -> IsolationLevel {
-        self.level
-    }
-
-    fn check(&mut self, h: &History) -> bool {
-        match self.memo.lookup(h.live_hash()) {
-            Ok(v) => v,
-            Err(key) => {
-                // Only misses are timed: a hit is a single table probe,
-                // and an `Instant` pair per hit would dominate it.
-                let start = Instant::now();
-                let v = weak::satisfies_weak_with(h, &mut self.idx);
-                self.memo.insert(key, v);
-                self.nanos += start.elapsed().as_nanos() as u64;
-                v
-            }
-        }
-    }
-
-    /// The witness is a topological order of `so ∪ wr ∪ forced` over the
-    /// engine's own synced index.
-    fn check_witnessed(&mut self, h: &History) -> Verdict {
-        if self.check(h) {
-            self.idx.sync(h);
-            if let Some(commit_order) = self.idx.witness_order() {
-                return Verdict::Consistent(Witness { commit_order });
-            }
-        }
-        evidence::reconstruct(h, &self.spec())
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        let salt = self.spec().spec_hash();
-        self.memo.attach_shared(memo, salt);
-    }
-
-    fn stats(&self) -> EngineStats {
-        let mut s = self.memo.stats();
-        s.incremental_hits = self.idx.incremental_hits;
-        s.full_rebuilds = self.idx.full_rebuilds;
-        s.check_nanos = self.nanos;
-        s
-    }
-
-    fn reset(&mut self) {
-        self.memo.reset();
-        self.idx.incremental_hits = 0;
-        self.idx.full_rebuilds = 0;
-        self.nanos = 0;
-    }
-}
-
-/// Engine for Prefix Consistency, Snapshot Isolation, Serializability and
-/// mixed per-transaction level specifications: the one commit-order
-/// search of [`mixed`] over an incrementally synced `FrontierIndex`,
-/// composed with the forced edges of the weak readers (an incrementally
-/// synced `weak::WeakIndex`, used only when the spec assigns RC, RA or CC
-/// somewhere), plus the fingerprint memo.
+/// Engine for every level specification but uniform `true`: the decision
+/// procedure of [`mixed`] — acyclicity of `so ∪ wr ∪ forced` when the spec
+/// names no strong level, otherwise the one commit-order search, composed
+/// with the forced edges of the weak readers whenever the spec assigns RC,
+/// RA or CC somewhere — over incrementally synced indexes, plus the
+/// fingerprint memo.
 ///
 /// The memo key folds [`LevelSpec::spec_hash`] into the history's rolling
 /// hash, so a verdict memoised under one spec can never be served for
-/// another — engines are per-spec, but the fold keeps the invariant even
-/// if memo state ever outlives a spec change.
+/// another, in the private memo or in an attached [`SharedMemo`].
 #[derive(Debug)]
-pub struct MixedEngine {
+pub struct Engine {
     spec: LevelSpec,
     spec_hash: u64,
     memo: Memo,
     decider: mixed::Decider,
-    nanos: u64,
 }
 
-impl MixedEngine {
+impl Engine {
     /// Creates an engine for an arbitrary level specification. Every spec
-    /// is legal; [`engine_for_spec_with`] routes uniform `true`, RC, RA
-    /// and CC specs to the cheaper [`TrivialEngine`] and [`WeakEngine`].
+    /// is legal; [`engine_for_spec_with`] routes uniform `true` to the
+    /// cheaper [`TrivialEngine`].
     pub fn new(spec: LevelSpec, memoize: bool) -> Self {
-        MixedEngine {
+        Engine {
             spec_hash: spec.spec_hash(),
             decider: mixed::Decider::new(spec.clone()),
             spec,
             memo: Memo::new(memoize),
-            nanos: 0,
         }
     }
 }
 
-impl ConsistencyChecker for MixedEngine {
+impl ConsistencyChecker for Engine {
     fn spec(&self) -> LevelSpec {
         self.spec.clone()
     }
@@ -563,22 +457,27 @@ impl ConsistencyChecker for MixedEngine {
                 // Only misses are timed: a hit is a single table probe,
                 // and an `Instant` pair per hit would dominate it.
                 let start = Instant::now();
-                let v = self.decider.decide(h);
+                let (v, rebuilt) = self.decider.decide(h);
                 self.memo.insert(key, v);
-                self.nanos += start.elapsed().as_nanos() as u64;
+                let stats = &mut self.memo.stats;
+                if rebuilt {
+                    stats.full_rebuilds += 1;
+                } else {
+                    stats.incremental_hits += 1;
+                }
+                stats.check_nanos += start.elapsed().as_nanos() as u64;
                 v
             }
         }
     }
 
-    /// The witness is the commit order recorded by the search that
-    /// decided `h`; a verdict served by the memo re-runs the search once
-    /// to record it.
+    /// The witness is the commit order recorded by the pass that decided
+    /// `h`; a verdict served by the memo re-decides `h` once to record it.
     fn check_witnessed(&mut self, h: &History) -> Verdict {
         if self.check(h) {
             let start = Instant::now();
             let order = self.decider.witness(h);
-            self.nanos += start.elapsed().as_nanos() as u64;
+            self.memo.stats.check_nanos += start.elapsed().as_nanos() as u64;
             if let Some(commit_order) = order {
                 return Verdict::Consistent(Witness { commit_order });
             }
@@ -587,22 +486,16 @@ impl ConsistencyChecker for MixedEngine {
     }
 
     fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        // The private key already folds `spec_hash` (see `check`), so the
-        // shared key needs no extra salt to be `live_hash ⊕ spec_hash`.
-        self.memo.attach_shared(memo, 0);
+        self.memo.shared = Some(memo);
     }
 
     fn stats(&self) -> EngineStats {
-        let mut s = self.memo.stats();
-        (s.incremental_hits, s.full_rebuilds) = self.decider.sync_stats();
-        s.check_nanos = self.nanos;
-        s
+        self.memo.stats()
     }
 
     fn reset(&mut self) {
         self.memo.reset();
         self.decider.reset();
-        self.nanos = 0;
     }
 }
 
@@ -703,33 +596,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only handles RC/RA/CC")]
-    fn weak_engine_rejects_strong_levels() {
-        WeakEngine::new(IsolationLevel::Serializability, true);
-    }
-
-    #[test]
     fn mixed_engine_with_uniform_spec_matches_per_level_engines() {
-        // Forcing the mixed path with a uniform spec must decide each
-        // level's axioms, the weak and trivial levels included.
+        // Every uniform spec's engine decides its level's axioms, and so
+        // does an `Engine` on uniform `true`, the one spec `engine_for`
+        // hands to another engine type.
         for h in [lost_update(), History::default()] {
             for level in IsolationLevel::ALL {
-                let mut forced = MixedEngine::new(LevelSpec::uniform(level), true);
-                assert_eq!(forced.spec(), LevelSpec::uniform(level));
-                assert_eq!(forced.level(), level);
+                let mut engine = engine_for(level);
+                assert_eq!(engine.spec(), LevelSpec::uniform(level));
+                assert_eq!(engine.level(), level);
                 assert_eq!(
-                    forced.check(&h),
+                    engine.check(&h),
                     crate::axioms::oracle_satisfies(&h, level),
-                    "forced mixed path disagrees with the {level} axioms"
+                    "the {level} engine disagrees with the axioms"
                 );
             }
+            let trivial = IsolationLevel::Trivial;
+            let mut engine = Engine::new(LevelSpec::uniform(trivial), true);
+            assert_eq!(engine.level(), trivial);
+            assert!(engine.check(&h), "uniform `true` accepts everything");
         }
     }
 
     #[test]
     fn check_witnessed_on_a_memo_hit_still_returns_evidence() {
         // A clone has a fresh uid but the same rolling hash, so the second
-        // engine call is a memo hit on a history the search never saw: the
+        // engine call is a memo hit on a history the engine never saw: the
         // witness must be re-derived, not taken from the previous pass.
         let mut corpus = vec![lost_update()];
         corpus.extend((0..40).map(|seed| crate::testkit::random_history(seed, 3, 2, 2)));
@@ -737,22 +629,18 @@ mod tests {
             for level in IsolationLevel::ALL {
                 let spec = LevelSpec::uniform(level);
                 let expected = crate::axioms::oracle_satisfies(h, level);
-                let forced = Box::new(MixedEngine::new(spec.clone(), true));
-                for mut engine in [engine_for(level), forced as Box<dyn ConsistencyChecker>] {
-                    assert_eq!(engine.check(h), expected, "{level}");
-                    let twin = h.clone();
-                    let verdict = engine.check_witnessed(&twin);
-                    if level != IsolationLevel::Trivial {
-                        assert_eq!(engine.stats().memo_hits, 1, "{level}: not a memo hit");
-                    }
-                    crate::testkit::assert_verdict_valid(
-                        &twin,
-                        &spec,
-                        &verdict,
-                        expected,
-                        &format!("{level} memo hit"),
-                    );
-                }
+                let mut engine = Engine::new(spec.clone(), true);
+                assert_eq!(engine.check(h), expected, "{level}");
+                let twin = h.clone();
+                let verdict = engine.check_witnessed(&twin);
+                assert_eq!(engine.stats().memo_hits, 1, "{level}: not a memo hit");
+                crate::testkit::assert_verdict_valid(
+                    &twin,
+                    &spec,
+                    &verdict,
+                    expected,
+                    &format!("{level} memo hit"),
+                );
             }
         }
     }
@@ -815,8 +703,8 @@ mod tests {
         let one_weak = ser
             .clone()
             .with_override(0, 0, IsolationLevel::ReadCommitted);
-        let mut strict = MixedEngine::new(ser.clone(), true);
-        let mut lenient = MixedEngine::new(one_weak, true);
+        let mut strict = Engine::new(ser.clone(), true);
+        let mut lenient = Engine::new(one_weak, true);
         assert!(!strict.check(&h));
         assert!(lenient.check(&h));
         assert!(!strict.check(&h));
@@ -863,12 +751,11 @@ mod tests {
         assert_eq!(rc.stats().shared_memo_hits, 0, "RC must not see SER's key");
         // Another engine for the same uniform SER spec shares SER's key
         // (`live_hash ⊕ spec_hash`), so it *does* hit SER's entry.
-        let mut forced =
-            MixedEngine::new(LevelSpec::uniform(IsolationLevel::Serializability), true);
-        forced.attach_shared_memo(Arc::clone(&shared));
-        assert!(!forced.check(&h));
+        let mut other = engine_for(IsolationLevel::Serializability);
+        other.attach_shared_memo(Arc::clone(&shared));
+        assert!(!other.check(&h));
         assert_eq!(
-            forced.stats().shared_memo_hits,
+            other.stats().shared_memo_hits,
             1,
             "engines of one spec share their keys"
         );

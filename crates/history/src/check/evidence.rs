@@ -11,9 +11,10 @@
 //!   axioms. It is independently replay-verifiable with
 //!   [`crate::axioms::check_with_order_spec`] — see [`Witness::replays`].
 //!   Witnesses come from the pass that decided the verdict: the commit
-//!   order the PC/SI/SER/mixed search recorded as it decided, or the Kahn
-//!   order of `so ∪ wr ∪ forced` over the weak engine's synced index
-//!   (`WeakIndex::witness_order`). Nothing is re-derived on fresh indexes.
+//!   order the commit-order search recorded as it decided, or — for specs
+//!   without strong levels — the order in which the acyclicity test of
+//!   `so ∪ wr ∪ forced` visited the transactions. Nothing is re-derived on
+//!   fresh indexes.
 //! * On failure, a [`Violation`]: a cycle of `so`/`wr`/forced-`co` edges,
 //!   each forced edge annotated with the [`AxiomInstance`] that forced it.
 //!   The cycle is *simple* (every vertex is entered and left exactly once),

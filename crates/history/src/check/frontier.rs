@@ -44,9 +44,6 @@ pub(crate) struct FrontierIndex {
     aborted: Vec<bool>,
     /// Direct-indexed `TxId.0 ↦ slot` (`u32::MAX` = absent).
     index: Vec<u32>,
-    /// Statistics: how syncs were served.
-    pub(crate) incremental_hits: u64,
-    pub(crate) full_rebuilds: u64,
 }
 
 impl FrontierIndex {
@@ -79,12 +76,11 @@ impl FrontierIndex {
     }
 
     /// Brings the index in sync with `h`, replaying recorded deltas when
-    /// possible and rebuilding otherwise.
-    pub(crate) fn sync(&mut self, h: &History) {
+    /// possible and rebuilding otherwise. Returns whether it rebuilt.
+    pub(crate) fn sync(&mut self, h: &History) -> bool {
         if self.synced && self.uid == h.uid() {
             if self.gen == h.generation() {
-                self.incremental_hits += 1;
-                return;
+                return false;
             }
             let replayed = match h.deltas_since(self.gen) {
                 None => false,
@@ -101,12 +97,11 @@ impl FrontierIndex {
             };
             if replayed {
                 self.gen = h.generation();
-                self.incremental_hits += 1;
-                return;
+                return false;
             }
         }
         self.rebuild(h);
-        self.full_rebuilds += 1;
+        true
     }
 
     fn rebuild(&mut self, h: &History) {

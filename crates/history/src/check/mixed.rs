@@ -1,5 +1,7 @@
-//! The commit-order search that decides Prefix Consistency, Snapshot
-//! Isolation, Serializability and mixed per-transaction level assignments.
+//! The decision procedure behind every engine but uniform `true`'s: the
+//! commit-order search that decides Prefix Consistency, Snapshot
+//! Isolation, Serializability and mixed per-transaction level assignments,
+//! and its degeneration for specs without strong levels.
 //!
 //! Real databases run heterogeneous workloads — read-only analytics at
 //! Read Committed next to payment transactions at Serializability — and a
@@ -9,7 +11,8 @@
 //! level (the per-transaction generalisation of Definition 2.2, following
 //! *On the Complexity of Checking Mixed Isolation Levels for SQL
 //! Transactions*). A uniform spec is the degenerate case: uniform PC, SI
-//! and SER run exactly this search.
+//! and SER run exactly this search, uniform RC, RA and CC its weak-only
+//! degeneration below.
 //!
 //! The decision procedure composes two machineries:
 //!
@@ -33,7 +36,9 @@
 //!
 //! When the spec assigns no strong level the search degenerates to plain
 //! acyclicity of `so ∪ wr ∪ forced` (Kahn), and uniformly `true` accepts
-//! every history.
+//! every history. Which of the three procedures a spec needs is settled
+//! once, when its `Decider` is built, so deciding a history inspects no
+//! spec.
 //!
 //! The search allocates nothing per node. Its state is one `Vec<u32>`:
 //! a word per session (frontier position and started flag) followed by
@@ -57,7 +62,25 @@ use crate::value::Var;
 /// builds fresh indexes per call. Long-running explorations should use the
 /// memoised engine from [`crate::check::engine::engine_for_spec`].
 pub fn satisfies_spec(h: &History, spec: &LevelSpec) -> bool {
-    Decider::new(spec.clone()).decide(h)
+    Decider::new(spec.clone()).decide(h).0
+}
+
+/// The decision procedure a spec needs, chosen once when its [`Decider`]
+/// is built.
+#[derive(Clone, Copy, Debug)]
+enum Procedure {
+    /// Uniformly `true`, the paper's trivial level: every history is
+    /// consistent, with no commit-order obligation. (A *mixed* spec with
+    /// `true` positions keeps Definition 2.2's requirement that a commit
+    /// order extending `so ∪ wr` exists.)
+    Trivial,
+    /// No strong level: the axioms reduce to the forced edges, and the
+    /// spec holds iff `so ∪ wr ∪ forced` is acyclic.
+    Weak,
+    /// The commit-order search. `weak_readers` says whether the spec
+    /// assigns RC, RA or CC somewhere: only those readers force edges, so
+    /// the weak index is synced for the search only then.
+    Search { weak_readers: bool },
 }
 
 /// The decision procedure for one level spec, with the indexes and
@@ -65,9 +88,7 @@ pub fn satisfies_spec(h: &History, spec: &LevelSpec) -> bool {
 #[derive(Debug)]
 pub(crate) struct Decider {
     spec: LevelSpec,
-    /// Whether the spec assigns RC, RA or CC somewhere: only those readers
-    /// force edges, so `weak` is synced for the search only then.
-    weak_readers: bool,
+    procedure: Procedure,
     weak: WeakIndex,
     frontier: FrontierIndex,
     search: Search,
@@ -78,14 +99,23 @@ pub(crate) struct Decider {
 
 impl Decider {
     pub(crate) fn new(spec: LevelSpec) -> Self {
+        let procedure = if spec.as_uniform() == Some(IsolationLevel::Trivial) {
+            Procedure::Trivial
+        } else if !spec.has_strong() {
+            Procedure::Weak
+        } else {
+            Procedure::Search {
+                weak_readers: [
+                    IsolationLevel::ReadCommitted,
+                    IsolationLevel::ReadAtomic,
+                    IsolationLevel::CausalConsistency,
+                ]
+                .into_iter()
+                .any(|l| spec.mentions(l)),
+            }
+        };
         Decider {
-            weak_readers: [
-                IsolationLevel::ReadCommitted,
-                IsolationLevel::ReadAtomic,
-                IsolationLevel::CausalConsistency,
-            ]
-            .into_iter()
-            .any(|l| spec.mentions(l)),
+            procedure,
             weak: WeakIndex::new_spec(spec.clone()),
             frontier: FrontierIndex::default(),
             search: Search::default(),
@@ -94,76 +124,56 @@ impl Decider {
         }
     }
 
-    /// Whether `h` satisfies the spec. A successful commit-order search
-    /// leaves its commit order behind for [`witness`](Self::witness).
-    pub(crate) fn decide(&mut self, h: &History) -> bool {
+    /// Whether `h` satisfies the spec, and whether deciding it rebuilt an
+    /// index from scratch (`false` when every sync replayed deltas or `h`
+    /// is the history decided last). The deciding pass leaves its commit
+    /// order behind for [`witness`](Self::witness).
+    pub(crate) fn decide(&mut self, h: &History) -> (bool, bool) {
         if let Some((uid, gen, v)) = self.last {
             if uid == h.uid() && gen == h.generation() {
-                return v;
+                return (v, false);
             }
         }
-        let v = self.decide_fresh(h);
+        let (v, rebuilt) = match self.procedure {
+            Procedure::Trivial => (true, false),
+            Procedure::Weak => {
+                let rebuilt = self.weak.sync(h);
+                (self.weak.decide(), rebuilt)
+            }
+            Procedure::Search { weak_readers } => {
+                let mut rebuilt = false;
+                if weak_readers {
+                    rebuilt = self.weak.sync(h);
+                    self.weak.collect_forced_tx(&mut self.search.forced);
+                } else {
+                    self.search.forced.clear();
+                }
+                rebuilt |= self.frontier.sync(h);
+                (self.search.decide(&self.spec, &self.frontier), rebuilt)
+            }
+        };
         self.last = Some((h.uid(), h.generation(), v));
-        v
-    }
-
-    fn decide_fresh(&mut self, h: &History) -> bool {
-        if self.spec.as_uniform() == Some(IsolationLevel::Trivial) {
-            // Uniformly `true` is the paper's trivial level: every history
-            // is consistent, with no commit-order obligation — matching
-            // `TrivialEngine` exactly. (A *mixed* spec with `true`
-            // positions keeps Definition 2.2's requirement that a commit
-            // order extending `so ∪ wr` exists.)
-            return true;
-        }
-        if !self.spec.has_strong() {
-            // No strong transaction: the axioms reduce to the forced
-            // edges, and the spec holds iff `so ∪ wr ∪ forced` is acyclic.
-            self.weak.sync(h);
-            return self.weak.decide();
-        }
-        if self.weak_readers {
-            self.weak.sync(h);
-            self.weak.collect_forced_tx(&mut self.search.forced);
-        } else {
-            self.search.forced.clear();
-        }
-        self.frontier.sync(h);
-        self.search.decide(&self.spec, &self.frontier)
+        (v, rebuilt)
     }
 
     /// A commit order witnessing that `h` satisfies the spec, init first,
-    /// or `None` when it does not. For a strong spec this is the order the
-    /// deciding search recorded (re-deciding only when `h` is not the
-    /// history decided last); otherwise a topological order of
-    /// `so ∪ wr ∪ forced`.
+    /// or `None` when it does not: the order of the pass that decided `h`
+    /// (re-deciding only when `h` is not the history decided last). Under
+    /// uniform `true`, which decides nothing, it is the order in which an
+    /// acyclicity test of `so ∪ wr` visits the transactions.
     pub(crate) fn witness(&mut self, h: &History) -> Option<Vec<TxId>> {
-        if !self.spec.has_strong() {
-            self.weak.sync(h);
-            return self.weak.witness_order();
+        match self.procedure {
+            Procedure::Trivial => {
+                self.weak.sync(h);
+                self.weak.decide().then(|| self.weak.order())
+            }
+            Procedure::Weak => self.decide(h).0.then(|| self.weak.order()),
+            Procedure::Search { .. } => self.decide(h).0.then(|| self.search.order.clone()),
         }
-        self.decide(h).then(|| self.search.order.clone())
     }
 
-    /// How the index syncs were served, as `(incremental, full rebuilds)`.
-    /// Both indexes sync from the same delta log (each only when the spec
-    /// needs it); counting the max keeps the split per *check* instead of
-    /// double-counting one sync.
-    pub(crate) fn sync_stats(&self) -> (u64, u64) {
-        (
-            self.weak
-                .incremental_hits
-                .max(self.frontier.incremental_hits),
-            self.weak.full_rebuilds.max(self.frontier.full_rebuilds),
-        )
-    }
-
-    /// Zeroes the sync counters and forgets the last verdict.
+    /// Forgets the last verdict.
     pub(crate) fn reset(&mut self) {
-        self.weak.incremental_hits = 0;
-        self.weak.full_rebuilds = 0;
-        self.frontier.incremental_hits = 0;
-        self.frontier.full_rebuilds = 0;
         self.last = None;
     }
 }

@@ -5,7 +5,7 @@
 //! * Read Committed, Read Atomic and Causal Consistency are checked in
 //!   polynomial time by saturating the commit-order constraints forced by
 //!   the axioms (whose premises do not mention `co`) and testing acyclicity
-//!   ([`weak`]).
+//!   (`weak`).
 //! * Prefix Consistency, Snapshot Isolation, Serializability and mixed
 //!   per-transaction level assignments ([`crate::isolation::LevelSpec`])
 //!   are decided by one memoised session-frontier search over commit
@@ -14,12 +14,14 @@
 //!   last committed writer; Snapshot Isolation and Prefix Consistency
 //!   transactions occupy start/commit intervals with snapshot reads, SI
 //!   adding the write-conflict rule; weak readers of a mixed spec add the
-//!   forced edges of [`weak`]. A uniform spec is the degenerate mixed case.
+//!   forced edges of `weak`.
 //!
-//! The stateful engines of [`engine`] wrap both procedures with
-//! incremental indexes and a result memo; [`evidence`] turns verdicts into
-//! witnesses and violation cores. The slow axiom-level oracle in
-//! [`crate::axioms`] cross-validates all of these in the test suite.
+//! Every spec is a mixed spec, a uniform one the degenerate case: [`mixed`]
+//! picks the procedure a spec needs, and one stateful [`Engine`] wraps it
+//! with incremental indexes and a result memo for every spec but uniform
+//! `true` (see [`engine`]). [`evidence`] turns verdicts into witnesses and
+//! violation cores. The slow axiom-level oracle in [`crate::axioms`]
+//! cross-validates all of these in the test suite.
 
 pub mod engine;
 pub mod evidence;
@@ -32,14 +34,14 @@ mod ser;
 pub mod shared;
 #[cfg(test)]
 mod si;
-pub mod weak;
+pub(crate) mod weak;
 
 use crate::history::History;
 use crate::isolation::{IsolationLevel, LevelSpec};
 
 pub use engine::{
-    engine_for, engine_for_spec, engine_for_spec_with, engine_for_with, ConsistencyChecker,
-    EngineStats, MixedEngine,
+    engine_for, engine_for_spec, engine_for_spec_with, engine_for_with, ConsistencyChecker, Engine,
+    EngineStats,
 };
 pub use evidence::{AxiomInstance, EdgeReason, Verdict, Violation, ViolationEdge, Witness};
 pub use mixed::satisfies_spec;

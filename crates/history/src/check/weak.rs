@@ -1,11 +1,14 @@
-//! Polynomial-time consistency checking for Read Committed, Read Atomic and
-//! Causal Consistency.
+//! The forced commit-order edges of Read Committed, Read Atomic and Causal
+//! Consistency readers.
 //!
 //! For these levels the premise `φ(t2, α)` of the axiom schema does not
 //! mention the commit order, so the set of commit-order edges forced by the
-//! axioms can be computed in a single pass. The history satisfies the level
-//! iff `so ∪ wr ∪ forced` is acyclic, in which case any topological order is
-//! a witness commit order.
+//! axioms can be computed in a single pass. A spec without strong levels
+//! holds iff `so ∪ wr ∪ forced` is acyclic, in which case the topological
+//! order the acyclicity test visits is a witness commit order; a spec with
+//! strong levels hands the forced edges to the commit-order search of
+//! [`crate::check::mixed`]. Either way the [`Engine`] decides through this
+//! index.
 //!
 //! # Incremental index
 //!
@@ -31,8 +34,8 @@
 //! * **per-check work** — collecting the forced commit-order edges from the
 //!   axiom instances and testing acyclicity of `base ∪ forced` — which is
 //!   bounded by the number of axiom instances, not by the history size.
-
-use std::collections::VecDeque;
+//!
+//! [`Engine`]: crate::check::engine::Engine
 
 use crate::history::{DeltaEventInfo, History, HistoryDelta};
 use crate::isolation::{IsolationLevel, LevelSpec};
@@ -42,17 +45,6 @@ use crate::value::Var;
 
 /// Absent-vertex sentinel of the direct-indexed `TxId.0 ↦ vertex` table.
 const NO_VERTEX: u32 = u32::MAX;
-
-/// Checks Read Committed, Read Atomic or Causal Consistency.
-///
-/// # Panics
-///
-/// Panics if called with a level outside `{RC, RA, CC}`.
-pub fn satisfies_weak(h: &History, level: IsolationLevel) -> bool {
-    let mut idx = WeakIndex::new(level);
-    idx.sync(h);
-    idx.decide()
-}
 
 /// One axiom instance: a read of `var` in transaction (vertex) `reader`
 /// reading from `writer`, with `prefix` wr-reads of the same transaction
@@ -115,15 +107,15 @@ struct SavedRows {
     entries: Vec<(u32, u32)>,
 }
 
-/// Reusable, incrementally synced state for the weak-level checks. One
-/// instance is owned by each [`crate::check::engine::WeakEngine`].
+/// Reusable, incrementally synced state for the forced edges of the weak
+/// readers. One instance is owned by each `Decider` of
+/// [`crate::check::mixed`].
 #[derive(Debug)]
 pub(crate) struct WeakIndex {
-    /// Level assignment. For the uniform specs of [`satisfies_weak`] /
-    /// `WeakEngine` every reader uses the same premise; a mixed spec makes
-    /// each read contribute the forced edges of *its reader's* level
-    /// (readers at `true`/SI/SER contribute none — the strong levels are
-    /// handled by the commit-order search in [`crate::check::mixed`]).
+    /// Level assignment: each read contributes the forced edges of *its
+    /// reader's* level (readers at `true`/PC/SI/SER contribute none — the
+    /// strong levels are handled by the commit-order search in
+    /// [`crate::check::mixed`]).
     spec: LevelSpec,
     /// Whether the transitive closure `reach` is maintained (present iff
     /// the spec assigns Causal Consistency somewhere).
@@ -160,48 +152,25 @@ pub(crate) struct WeakIndex {
     /// positions of those reads (ascending).
     wr_seqs: Vec<Vec<u32>>,
     wr_read_pos: Vec<Vec<u32>>,
-    /// Verdict of the last `decide` for the current sync point, reused
-    /// verbatim while the history's generation is unchanged (covers
-    /// re-checks whose memo entry was evicted).
-    verdict: Option<bool>,
     /// LIFO undo journal mirroring the history's, plus the saved-row arena.
     undo: Vec<UndoRec>,
     saved: SavedRows,
-    /// Statistics: how the last `sync` was served.
-    pub(crate) incremental_hits: u64,
-    pub(crate) full_rebuilds: u64,
     // Per-check scratch.
     forced: Vec<(u32, u32)>,
     forced_heads: Vec<u32>,
     forced_sorted: Vec<u32>,
     indeg: Vec<u32>,
-    kahn: VecDeque<u32>,
+    /// The vertices in the order the last acyclicity test visited them: a
+    /// topological order of `so ∪ wr ∪ forced` when it found no cycle.
+    kahn: Vec<u32>,
     row_buf: Vec<u64>,
 }
 
 impl WeakIndex {
-    /// Creates an empty index for one of `{RC, RA, CC}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a level outside `{RC, RA, CC}`.
-    pub fn new(level: IsolationLevel) -> Self {
-        assert!(
-            matches!(
-                level,
-                IsolationLevel::ReadCommitted
-                    | IsolationLevel::ReadAtomic
-                    | IsolationLevel::CausalConsistency
-            ),
-            "satisfies_weak only handles RC/RA/CC, got {level}"
-        );
-        Self::new_spec(LevelSpec::uniform(level))
-    }
-
     /// Creates an empty index for an arbitrary level assignment. Readers at
-    /// weak levels contribute their forced edges; readers at `true`, SI or
-    /// SER contribute none (see [`crate::check::mixed`] for how the strong
-    /// levels are decided on top of this index).
+    /// weak levels contribute their forced edges; readers at `true`, PC, SI
+    /// or SER contribute none (see [`crate::check::mixed`] for how the
+    /// strong levels are decided on top of this index).
     pub(crate) fn new_spec(spec: LevelSpec) -> Self {
         WeakIndex {
             want_reach: spec.mentions(IsolationLevel::CausalConsistency),
@@ -224,29 +193,25 @@ impl WeakIndex {
             reads: Vec::new(),
             wr_seqs: Vec::new(),
             wr_read_pos: Vec::new(),
-            verdict: None,
             undo: Vec::new(),
             saved: SavedRows::default(),
-            incremental_hits: 0,
-            full_rebuilds: 0,
             forced: Vec::new(),
             forced_heads: Vec::new(),
             forced_sorted: Vec::new(),
             indeg: Vec::new(),
-            kahn: VecDeque::new(),
+            kahn: Vec::new(),
             row_buf: Vec::new(),
         }
     }
 
     /// Brings the index in sync with `h`, replaying the recorded mutation
-    /// deltas when possible and rebuilding from scratch otherwise.
-    pub fn sync(&mut self, h: &History) {
+    /// deltas when possible and rebuilding from scratch otherwise. Returns
+    /// whether it rebuilt.
+    pub(crate) fn sync(&mut self, h: &History) -> bool {
         if self.synced && self.uid == h.uid() {
             if self.gen == h.generation() {
-                self.incremental_hits += 1;
-                return;
+                return false;
             }
-            self.verdict = None;
             let replayed = match h.deltas_since(self.gen) {
                 None => false,
                 Some(deltas) => {
@@ -262,63 +227,30 @@ impl WeakIndex {
             };
             if replayed {
                 self.gen = h.generation();
-                self.incremental_hits += 1;
-                return;
+                return false;
             }
         }
         self.rebuild(h);
-        self.full_rebuilds += 1;
+        true
     }
 
-    /// Decides the isolation level for the currently synced history:
-    /// collects the forced commit-order edges from the axiom instances and
-    /// tests acyclicity of the base graph extended with them.
-    pub fn decide(&mut self) -> bool {
+    /// Decides the synced history's weak readers alone: collects the forced
+    /// commit-order edges from the axiom instances and tests acyclicity of
+    /// the base graph extended with them, leaving the visit order for
+    /// [`order`](Self::order).
+    pub(crate) fn decide(&mut self) -> bool {
         debug_assert!(self.synced, "decide on an unsynced index");
         self.collect_forced();
         self.forced_acyclic()
     }
 
-    /// Cold evidence path of [`decide`](Self::decide): collects the forced
-    /// edges and, when `so ∪ wr ∪ forced` is acyclic, returns a topological
-    /// order of the transactions (init first) — a total commit order
-    /// witnessing every weak reader's axioms, since the forced edges are
-    /// exactly the constraints those axioms impose. Returns `None` on a
-    /// cycle. Unlike the in-place Kahn of `forced_acyclic`, this allocates
-    /// and is only meant for on-demand witness reconstruction.
-    pub(crate) fn witness_order(&mut self) -> Option<Vec<TxId>> {
-        debug_assert!(self.synced, "witness_order on an unsynced index");
-        self.collect_forced();
-        let n = self.txs.len();
-        let mut indeg = vec![0usize; n];
-        for v in 0..n {
-            for &w in self.graph.successors(v) {
-                indeg[w] += 1;
-            }
-        }
-        for &(_, b) in &self.forced {
-            indeg[b as usize] += 1;
-        }
-        let mut queue: VecDeque<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            order.push(self.txs[v as usize]);
-            for &w in self.graph.successors(v as usize) {
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    queue.push_back(w as u32);
-                }
-            }
-            for &(a, b) in &self.forced {
-                if a == v {
-                    indeg[b as usize] -= 1;
-                    if indeg[b as usize] == 0 {
-                        queue.push_back(b);
-                    }
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
+    /// The transactions in the order the last [`decide`](Self::decide)
+    /// visited them, init first: after an acyclic verdict, a topological
+    /// order of `so ∪ wr ∪ forced` — a total commit order witnessing every
+    /// weak reader's axioms, since the forced edges are exactly the
+    /// constraints those axioms impose.
+    pub(crate) fn order(&self) -> Vec<TxId> {
+        self.kahn.iter().map(|&v| self.txs[v as usize]).collect()
     }
 
     /// Collects the commit-order edges forced by the axiom instances into
@@ -378,7 +310,8 @@ impl WeakIndex {
         );
     }
 
-    /// Tests acyclicity of the base graph extended with `self.forced`.
+    /// Tests acyclicity of the base graph extended with `self.forced`,
+    /// recording the FIFO visit order in `self.kahn`.
     fn forced_acyclic(&mut self) -> bool {
         let forced = &mut self.forced;
         // Kahn's algorithm over the base graph plus the forced edges
@@ -418,19 +351,21 @@ impl WeakIndex {
         for &(_, b) in forced.iter() {
             self.indeg[b as usize] += 1;
         }
+        // The queue is `kahn` read through a cursor: popped vertices stay
+        // in place, so the visit order survives the test.
         self.kahn.clear();
         for v in 0..n {
             if self.indeg[v] == 0 {
-                self.kahn.push_back(v as u32);
+                self.kahn.push(v as u32);
             }
         }
-        let mut seen = 0usize;
-        while let Some(v) = self.kahn.pop_front() {
-            seen += 1;
+        let mut head = 0;
+        while let Some(&v) = self.kahn.get(head) {
+            head += 1;
             for &w in self.graph.successors(v as usize) {
                 self.indeg[w] -= 1;
                 if self.indeg[w] == 0 {
-                    self.kahn.push_back(w as u32);
+                    self.kahn.push(w as u32);
                 }
             }
             let bucket =
@@ -439,11 +374,11 @@ impl WeakIndex {
                 let b = self.forced_sorted[k];
                 self.indeg[b as usize] -= 1;
                 if self.indeg[b as usize] == 0 {
-                    self.kahn.push_back(b);
+                    self.kahn.push(b);
                 }
             }
         }
-        seen == n
+        self.kahn.len() == n
     }
 
     // ------------------------------------------------------------------
@@ -454,7 +389,6 @@ impl WeakIndex {
     /// transaction logs, and re-anchors the sync point at `h`'s current
     /// generation.
     fn rebuild(&mut self, h: &History) {
-        self.verdict = None;
         self.undo.clear();
         self.saved.words.clear();
         self.saved.entries.clear();
@@ -1008,21 +942,11 @@ impl WeakIndex {
     }
 }
 
-/// Like [`satisfies_weak`], reusing a caller-owned index (the engines'
-/// entry point).
-pub(crate) fn satisfies_weak_with(h: &History, idx: &mut WeakIndex) -> bool {
-    idx.sync(h);
-    if let Some(v) = idx.verdict {
-        return v;
-    }
-    let v = idx.decide();
-    idx.verdict = Some(v);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::engine::{ConsistencyChecker, Engine};
+    use crate::check::satisfies;
     use crate::event::{Event, EventId, EventKind};
     use crate::transaction::SessionId;
     use crate::value::{Value, Var};
@@ -1094,9 +1018,9 @@ mod tests {
     #[test]
     fn fig3_violates_cc_only() {
         let h = fig3();
-        assert!(!satisfies_weak(&h, IsolationLevel::CausalConsistency));
-        assert!(satisfies_weak(&h, IsolationLevel::ReadAtomic));
-        assert!(satisfies_weak(&h, IsolationLevel::ReadCommitted));
+        assert!(!satisfies(&h, IsolationLevel::CausalConsistency));
+        assert!(satisfies(&h, IsolationLevel::ReadAtomic));
+        assert!(satisfies(&h, IsolationLevel::ReadCommitted));
     }
 
     /// Fig. 9d under CC: read of y from init while reading x from a later
@@ -1116,11 +1040,11 @@ mod tests {
         b.read(1, x, TxId::INIT);
         b.commit(1);
         let h = b.h;
-        assert!(!satisfies_weak(&h, IsolationLevel::ReadAtomic));
-        assert!(!satisfies_weak(&h, IsolationLevel::CausalConsistency));
+        assert!(!satisfies(&h, IsolationLevel::ReadAtomic));
+        assert!(!satisfies(&h, IsolationLevel::CausalConsistency));
         // RC: the read of x from init is preceded (po) by a read from t1,
         // so t1 must precede init in co: violation of RC as well.
-        assert!(!satisfies_weak(&h, IsolationLevel::ReadCommitted));
+        assert!(!satisfies(&h, IsolationLevel::ReadCommitted));
         // Swapping the order of the two reads removes the RC violation.
         let mut b = Builder::new();
         let t1 = b.begin(0);
@@ -1132,8 +1056,8 @@ mod tests {
         b.read(1, y, t1);
         b.commit(1);
         let h = b.h;
-        assert!(satisfies_weak(&h, IsolationLevel::ReadCommitted));
-        assert!(!satisfies_weak(&h, IsolationLevel::ReadAtomic));
+        assert!(satisfies(&h, IsolationLevel::ReadCommitted));
+        assert!(!satisfies(&h, IsolationLevel::ReadAtomic));
     }
 
     #[test]
@@ -1152,7 +1076,7 @@ mod tests {
         b.begin(1);
         b.read(1, x, t1);
         b.commit(1);
-        assert!(satisfies_weak(&b.h, IsolationLevel::CausalConsistency));
+        assert!(satisfies(&b.h, IsolationLevel::CausalConsistency));
 
         // But if t3 first reads x from t2 then reads x again from t1 the
         // second read is internal-free and CC (even RC) is violated.
@@ -1167,8 +1091,8 @@ mod tests {
         b.read(1, x, t2);
         b.read(1, x, t1);
         b.commit(1);
-        assert!(!satisfies_weak(&b.h, IsolationLevel::ReadCommitted));
-        assert!(!satisfies_weak(&b.h, IsolationLevel::CausalConsistency));
+        assert!(!satisfies(&b.h, IsolationLevel::ReadCommitted));
+        assert!(!satisfies(&b.h, IsolationLevel::CausalConsistency));
     }
 
     #[test]
@@ -1186,7 +1110,7 @@ mod tests {
             IsolationLevel::ReadAtomic,
             IsolationLevel::CausalConsistency,
         ] {
-            assert!(satisfies_weak(&b.h, level));
+            assert!(satisfies(&b.h, level));
         }
     }
 
@@ -1198,18 +1122,12 @@ mod tests {
             IsolationLevel::ReadAtomic,
             IsolationLevel::CausalConsistency,
         ] {
-            assert!(satisfies_weak(&h, level));
+            assert!(satisfies(&h, level));
         }
     }
 
-    #[test]
-    #[should_panic(expected = "only handles RC/RA/CC")]
-    fn rejects_strong_levels() {
-        satisfies_weak(&History::default(), IsolationLevel::Serializability);
-    }
-
     /// The incremental fast path: a candidate loop (set → check → unset)
-    /// over one index must answer exactly like fresh indexes, and end up
+    /// through one engine must answer exactly like fresh checks, and end up
     /// synced incrementally rather than via rebuilds.
     #[test]
     fn incremental_candidate_loop_matches_fresh_checks() {
@@ -1227,23 +1145,22 @@ mod tests {
         let mark = h.checkpoint();
         h.append_event(SessionId(2), Event::new(read, EventKind::Read(x)));
 
-        let mut idx = WeakIndex::new(IsolationLevel::CausalConsistency);
-        idx.sync(&h); // first sync: one rebuild
-        assert_eq!(idx.full_rebuilds, 1);
+        let cc = IsolationLevel::CausalConsistency;
+        let mut engine = Engine::new(LevelSpec::uniform(cc), false);
+        engine.check(&h); // first sync: one rebuild
+        assert_eq!(engine.stats().full_rebuilds, 1);
         for writer in [TxId::INIT, t1, t2] {
             h.set_wr(read, writer);
-            let inc = satisfies_weak_with(&h, &mut idx);
-            let fresh = satisfies_weak(&h, IsolationLevel::CausalConsistency);
+            let inc = engine.check(&h);
+            let fresh = satisfies(&h, cc);
             assert_eq!(inc, fresh, "incremental disagrees for writer {writer}");
             h.unset_wr(read);
-            assert_eq!(
-                satisfies_weak_with(&h, &mut idx),
-                satisfies_weak(&h, IsolationLevel::CausalConsistency)
-            );
+            assert_eq!(engine.check(&h), satisfies(&h, cc));
         }
         h.rollback(mark);
-        assert!(satisfies_weak_with(&h, &mut idx));
-        assert_eq!(idx.full_rebuilds, 1, "candidate loop forced a rebuild");
-        assert!(idx.incremental_hits >= 6);
+        assert!(engine.check(&h));
+        let stats = engine.stats();
+        assert_eq!(stats.full_rebuilds, 1, "candidate loop forced a rebuild");
+        assert_eq!(stats.incremental_hits, 7);
     }
 }
