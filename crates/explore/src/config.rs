@@ -34,10 +34,10 @@ pub struct ExploreConfig {
     /// outputs).
     pub track_duplicates: bool,
     /// Number of exploration workers. `1` (the default) runs the classic
-    /// serial algorithm; larger values partition the root-level reordering
-    /// frontier across `std::thread::scope` workers with per-worker
-    /// consistency engines. The set of output-history fingerprints is
-    /// identical to a serial run.
+    /// serial algorithm; larger values run the same traversal on
+    /// `std::thread::scope` workers with per-worker consistency engines,
+    /// which share subtrees through a work-stealing pool. The set of
+    /// output-history fingerprints is identical to a serial run.
     pub workers: usize,
     /// Whether `workers` was requested explicitly
     /// ([`with_workers`](ExploreConfig::with_workers)) rather than derived
@@ -169,11 +169,10 @@ impl ExploreConfig {
 
     /// Number of worker threads the parallel mode should actually spawn
     /// for a seeded frontier of `frontier_len` nodes: never more than the
-    /// tasks available, so no thread is created just to idle (work
-    /// stealing cannot conjure tasks that never existed — a frontier of 3
-    /// nodes feeds at most 3 workers, stealing only rebalances their
-    /// subtrees later). Returns `0` for an empty frontier: the seeding
-    /// pass finished the exploration and the worker phase is skipped.
+    /// tasks available, so no thread starts out idle (a frontier of 3
+    /// nodes starts at most 3 workers, which rebalance their subtrees
+    /// later). Returns `0` for an empty frontier: the seeding pass
+    /// finished the exploration and the worker phase is skipped.
     pub fn spawn_workers(&self, frontier_len: usize) -> usize {
         self.workers.min(frontier_len)
     }

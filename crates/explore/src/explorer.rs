@@ -1,5 +1,31 @@
 //! The swapping-based stateless model checking algorithm `explore-ce` and
 //! its filtered variant `explore-ce*` (Algorithms 1 and 2, §§4–6).
+//!
+//! # In-place traversal
+//!
+//! `explore-ce` is a depth-first recursion whose children differ from their
+//! parent by one event or one swap, which is what lets it run in polynomial
+//! space (Theorem 5.1). The traversal therefore runs on one
+//! [`OrderedHistory`] per worker, and a node's children are *moves* on the
+//! node's history:
+//!
+//! * at an external read, one move per `ValidWrites` writer: the read is
+//!   appended and reads from that writer;
+//! * at any other step, the step extension itself, visited in place, then
+//!   one move per `Optimality`-approved re-ordering of the extension,
+//!   applied by [`apply_swap`]. The re-orderings are decided before the
+//!   extension's subtree is entered.
+//!
+//! A node with moves becomes a *frame* on an explicit stack, so the depth
+//! is bounded by memory rather than by the thread stack. To visit a child,
+//! the traversal takes a checkpoint of the frame's history, applies the
+//! move, explores the child, then rolls back to the checkpoint and
+//! restores the frame's order.
+//!
+//! Parallel workers run the same traversal on every task they pop. They
+//! materialise children as histories of their own only to hand work to
+//! other workers: in the breadth-first seeding pass, and when a sibling is
+//! idle, the untried moves of the shallowest frame on their path.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -10,7 +36,7 @@ use std::time::Instant;
 use txdpor_analysis::{DecomposingChecker, ProgramFootprints};
 use txdpor_history::{
     engine_for_spec_with, ConsistencyChecker, Event, EventId, EventKind, History,
-    HistoryFingerprint, SessionId, SharedMemo, TxId, VarTable, Verdict,
+    HistoryFingerprint, HistoryMark, SessionId, SharedMemo, TxId, TxSet, VarTable, Verdict,
 };
 use txdpor_program::{
     initial_history, oracle_next, replay_all, Program, SchedulerStep, SemanticsError, TxStep,
@@ -21,7 +47,7 @@ use crate::config::{ExplorationReport, ExploreConfig};
 use crate::optimality::optimality;
 use crate::ordered::OrderedHistory;
 use crate::steal::{Backoff, StealPool};
-use crate::swap::compute_reorderings_and_ancestors;
+use crate::swap::{apply_swap, compute_reorderings_and_ancestors};
 
 /// Seed the parallel frontier with this many tasks per worker before
 /// handing the queue over, so that uneven subtree sizes still keep every
@@ -113,8 +139,8 @@ pub fn explore_with_assertion(
         return explore_parallel(program, &config, assertion, workers, start);
     }
     let mut explorer = Explorer::new(program, &config, assertion);
-    let initial = OrderedHistory::new(initial_history(program, &mut explorer.vars));
-    explorer.explore(initial)?;
+    let root = OrderedHistory::new(initial_history(program, &mut explorer.vars));
+    explorer.explore(root, None)?;
     explorer.record_engine_stats();
     let mut report = explorer.report;
     report.duration = start.elapsed();
@@ -128,15 +154,16 @@ pub fn explore_with_assertion(
 /// frontier holds enough disjoint subtrees, distributes them round-robin
 /// across per-worker LIFO deques ([`StealPool`]), and lets
 /// `std::thread::scope` workers — each with its own consistency engines
-/// and event counters — traverse their subtrees depth-first, stealing the
-/// shallowest nodes of a busy sibling when they run dry. Termination is
-/// detected by the pool's in-flight counter, so skewed trees keep every
-/// worker busy to the end instead of starving all but one. A
-/// [`SharedMemo`] attached to every worker's engines lets siblings reuse
-/// each other's consistency verdicts.
+/// and event counters — explore their subtrees with the serial in-place
+/// traversal. A worker whose sibling idles hands it the untried children
+/// of the shallowest node on its path; idle workers steal the oldest tasks
+/// of a busy sibling's deque. Termination is detected by the pool's
+/// in-flight counter, so skewed trees keep every worker busy to the end
+/// instead of starving all but one. A [`SharedMemo`] attached to every
+/// worker's engines lets siblings reuse each other's consistency verdicts.
 ///
 /// The exploration tree is identical to the serial one (children of a node
-/// depend only on that node, and every node is processed exactly once no
+/// depend only on that node, and every node is explored exactly once no
 /// matter how tasks migrate), so the merged report agrees with a serial
 /// run on every deterministic quantity: end states, outputs, blocked
 /// reads, explore calls and the set of output-history fingerprints. Only
@@ -152,18 +179,8 @@ fn explore_parallel(
     let shared_memo = Arc::new(SharedMemo::new(workers));
     let mut seeder = Explorer::new(program, config, assertion);
     seeder.attach_shared_memo(&shared_memo);
-    let initial = OrderedHistory::new(initial_history(program, &mut seeder.vars));
-    let mut frontier: VecDeque<OrderedHistory> = VecDeque::from([initial]);
-    let target = workers * SEED_TASKS_PER_WORKER;
-    while !frontier.is_empty() && frontier.len() < target && !seeder.timed_out() {
-        let h = frontier.pop_front().expect("frontier is non-empty");
-        seeder.report.explore_calls += 1;
-        seeder.report.max_events = seeder.report.max_events.max(h.order.len());
-        match seeder.expand(h)? {
-            Expansion::Complete(h) => seeder.handle_complete(&h),
-            Expansion::Children(children) => frontier.extend(children),
-        }
-    }
+    let root = OrderedHistory::new(initial_history(program, &mut seeder.vars));
+    let frontier = seeder.seed(root, workers * SEED_TASKS_PER_WORKER)?;
 
     // Never spawn threads that could not possibly receive work: a frontier
     // smaller than the worker count caps the spawn (an empty frontier — the
@@ -171,7 +188,7 @@ fn explore_parallel(
     // entirely).
     let spawn = config.spawn_workers(frontier.len()).min(workers);
     let deadline = seeder.deadline;
-    // One variable numbering for every worker: stolen nodes and
+    // One variable numbering for every worker: handed-out nodes and
     // `SharedMemo` keys carry variable ids across workers.
     let shared_vars = Arc::new(Mutex::new(std::mem::take(&mut seeder.vars)));
     let pool: StealPool<OrderedHistory> = StealPool::new(spawn.max(1));
@@ -193,6 +210,7 @@ fn explore_parallel(
                     worker.deadline = deadline;
                     worker.attach_shared_memo(&shared_memo);
                     let mut backoff = Backoff::default();
+                    let mut idle = false;
                     loop {
                         if failed.load(Ordering::Acquire) || pool.is_poisoned() {
                             break;
@@ -200,17 +218,24 @@ fn explore_parallel(
                         // Event/transaction identifiers only need to be
                         // unique within a branch; the history tracks its own
                         // id high-water marks (fingerprints are
-                        // identifier-independent), so a stolen node explores
+                        // identifier-independent), so a task explores
                         // identically wherever it lands.
-                        if let Some(h) = pool.pop_local(i) {
+                        if let Some(task) = pool.pop_local(i) {
+                            if std::mem::take(&mut idle) {
+                                pool.leave_idle();
+                            }
                             backoff.reset();
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    worker.process_task(h, pool, i)
+                                    worker.explore(task, Some((pool, i)))
                                 }));
                             match outcome {
-                                Ok(Ok(())) => continue,
+                                Ok(Ok(())) => {
+                                    pool.finish_task();
+                                    continue;
+                                }
                                 Ok(Err(e)) => {
+                                    pool.finish_task();
                                     *failure.lock().expect("failure lock") = Some(e);
                                     failed.store(true, Ordering::Release);
                                     break;
@@ -236,7 +261,13 @@ fn explore_parallel(
                         if pool.is_done() {
                             break;
                         }
+                        if !std::mem::replace(&mut idle, true) {
+                            pool.enter_idle();
+                        }
                         backoff.idle();
+                    }
+                    if idle {
+                        pool.leave_idle();
                     }
                     worker.record_engine_stats();
                     results
@@ -294,18 +325,161 @@ fn merge_worker(report: &mut ExplorationReport, worker: ExplorationReport) {
     }
 }
 
-/// The children of an exploration-tree node, or the signal that the node is
-/// a complete execution.
-enum Expansion {
-    /// The history is complete: no session has a next step. Carries the
-    /// node back to the caller (expansion takes the node by value so that
-    /// single-child steps extend it in place instead of cloning). Boxed:
-    /// the flat-arena history is a dozen vector headers inline, and this
-    /// variant rides in every expansion result.
-    Complete(Box<OrderedHistory>),
-    /// The node's children in serial visit order: each extension of the
-    /// history followed by its `Optimality`-approved re-orderings.
-    Children(Vec<OrderedHistory>),
+/// The children of a frame's node, as moves on the frame's base history.
+#[derive(Debug)]
+enum Moves {
+    /// At an external read: the read `event` of `session` is appended and
+    /// reads from each `ValidWrites` writer in turn.
+    Reads {
+        session: SessionId,
+        event: Event,
+        writers: Vec<TxId>,
+    },
+    /// After the commit of `target`: each read is swapped to read from it.
+    /// The base is the step extension, and the swaps are its
+    /// `Optimality`-approved re-orderings. Swaps rearrange the order, so
+    /// the frame keeps its base `order`.
+    Swaps {
+        target: TxId,
+        ancestors: TxSet,
+        reads: Vec<EventId>,
+        order: Vec<EventId>,
+    },
+}
+
+/// A node of the exploration tree with children still to visit (or being
+/// visited).
+#[derive(Debug)]
+struct Frame {
+    /// Checkpoint at the base history, open while a child is explored:
+    /// rolling back to it undoes the child's move and everything below.
+    mark: HistoryMark,
+    /// Length of the base order. Read moves only append to the order, so a
+    /// read frame's base order is a prefix of the order its child leaves.
+    order_len: usize,
+    moves: Moves,
+    /// Index of the next move to visit; it and the moves after it are
+    /// untried.
+    next: usize,
+    /// Rolling hash and order of the base history, checked after every
+    /// child.
+    #[cfg(debug_assertions)]
+    base: ((u64, u64), Vec<EventId>),
+}
+
+impl Frame {
+    /// Opens a frame whose base is the current `h`.
+    fn open(h: &mut OrderedHistory, moves: Moves) -> Frame {
+        Frame {
+            mark: h.history.checkpoint(),
+            order_len: h.order.len(),
+            moves,
+            next: 0,
+            #[cfg(debug_assertions)]
+            base: (h.history.live_hash(), h.order.clone()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match &self.moves {
+            Moves::Reads { writers, .. } => writers.len(),
+            Moves::Swaps { reads, .. } => reads.len(),
+        }
+    }
+
+    /// The base order, if the frame keeps it.
+    fn base_order(&self) -> Option<&[EventId]> {
+        match &self.moves {
+            Moves::Reads { .. } => None,
+            Moves::Swaps { order, .. } => Some(order),
+        }
+    }
+
+    /// Applies move `k` to `h`, which is at the frame's base.
+    fn apply(&self, k: usize, h: &mut OrderedHistory) {
+        match &self.moves {
+            Moves::Reads {
+                session,
+                event,
+                writers,
+            } => {
+                h.history.append_event(*session, event.clone());
+                h.push(event.id);
+                h.history.set_wr(event.id, writers[k]);
+            }
+            Moves::Swaps {
+                target,
+                ancestors,
+                reads,
+                ..
+            } => apply_swap(h, reads[k], *target, ancestors),
+        }
+    }
+
+    /// Returns `h` to the base once a child's subtree is done: rolls back
+    /// to the checkpoint, closing it, and restores the base order.
+    fn rewind(&self, h: &mut OrderedHistory) {
+        h.history.rollback(self.mark);
+        match self.base_order() {
+            None => h.order.truncate(self.order_len),
+            Some(order) => {
+                h.order.clear();
+                h.order.extend_from_slice(order);
+            }
+        }
+        #[cfg(debug_assertions)]
+        {
+            debug_assert_eq!(
+                h.history.live_hash(),
+                self.base.0,
+                "base history not restored"
+            );
+            debug_assert_eq!(h.order, self.base.1, "base order not restored");
+        }
+    }
+}
+
+/// The children behind the untried moves of `frames[d]`, in visit order,
+/// each as a history of its own. `h` is at the base of the top frame; the
+/// base of `frames[d]` is a copy of `h` as it was at the frame's
+/// checkpoint, with the frame's base order. Moves must remain untried.
+fn untried_children(h: &OrderedHistory, frames: &[Frame], d: usize) -> Vec<OrderedHistory> {
+    let frame = &frames[d];
+    debug_assert!(frame.next < frame.len(), "no untried move to materialise");
+    // Up to the first frame from `d` on that keeps its base order, the
+    // order only grew by appends.
+    let order = frames[d..]
+        .iter()
+        .find_map(Frame::base_order)
+        .unwrap_or(&h.order);
+    let mut base = OrderedHistory {
+        history: h.history.clone_at(frame.mark),
+        order: order[..frame.order_len].to_vec(),
+    };
+    let last = frame.len() - 1;
+    let mut children: Vec<OrderedHistory> = (frame.next..last)
+        .map(|k| {
+            let mut child = base.clone();
+            frame.apply(k, &mut child);
+            child
+        })
+        .collect();
+    frame.apply(last, &mut base);
+    children.push(base);
+    children
+}
+
+/// Hands the untried moves of the shallowest frame that has any to worker
+/// `w`'s deque, and closes them in the frame. `h` is at the base of the
+/// top frame.
+fn hand_out(h: &OrderedHistory, frames: &mut [Frame], pool: &StealPool<OrderedHistory>, w: usize) {
+    let Some(d) = frames.iter().position(|f| f.next < f.len()) else {
+        return;
+    };
+    let children = untried_children(h, frames, d);
+    frames[d].next = frames[d].len();
+    // Reversed: the owner pops LIFO, so it would resume at the first.
+    pool.push_children(w, children.into_iter().rev());
 }
 
 struct Explorer<'a> {
@@ -378,45 +552,6 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Processes one node popped from the work-stealing pool: the body of
-    /// [`visit`](Explorer::visit), with children pushed onto this worker's
-    /// deque (registered before the parent is finished, so the pool's
-    /// in-flight count never dips to zero mid-subtree). Children are
-    /// pushed in reverse so the LIFO pop order matches the serial visit
-    /// order — the first child extends the history the engines just saw.
-    ///
-    /// After a timeout the node is finished without being counted or
-    /// expanded, draining the pool — exactly the serial path, which stops
-    /// counting the moment the deadline passes.
-    fn process_task(
-        &mut self,
-        h: OrderedHistory,
-        pool: &StealPool<OrderedHistory>,
-        worker: usize,
-    ) -> Result<(), ExploreError> {
-        if self.timed_out() {
-            pool.finish_task();
-            return Ok(());
-        }
-        self.report.explore_calls += 1;
-        self.report.max_events = self.report.max_events.max(h.order.len());
-        let expansion = match self.expand(h) {
-            Ok(expansion) => expansion,
-            Err(e) => {
-                pool.finish_task();
-                return Err(e);
-            }
-        };
-        match expansion {
-            Expansion::Complete(h) => self.handle_complete(&h),
-            Expansion::Children(children) => {
-                pool.push_children(worker, children.into_iter().rev());
-            }
-        }
-        pool.finish_task();
-        Ok(())
-    }
-
     /// Folds the engines' counters into the report (once, at the end of
     /// this explorer's run).
     fn record_engine_stats(&mut self) {
@@ -442,154 +577,209 @@ impl<'a> Explorer<'a> {
         false
     }
 
-    /// The `explore` traversal of Algorithm 1, run iteratively over an
-    /// explicit worklist of [`Expansion`] children so that the exploration
-    /// depth is bounded by memory rather than by thread stack size (the
-    /// redundant no-optimality ablation reaches depths that overflow even
-    /// half-gigabyte stacks). The visit order is exactly the depth-first
-    /// order of the recursive formulation.
-    fn explore(&mut self, root: OrderedHistory) -> Result<(), ExploreError> {
-        let mut stack: Vec<std::vec::IntoIter<OrderedHistory>> = Vec::new();
-        self.visit(root, &mut stack)?;
-        while let Some(top) = stack.last_mut() {
-            match top.next() {
-                Some(child) => self.visit(child, &mut stack)?,
-                None => {
-                    stack.pop();
+    /// The breadth-first seeding pass of a parallel run: expands nodes
+    /// from `root` one at a time, materialising their children, until the
+    /// frontier holds `target` nodes or nothing is left to expand.
+    fn seed(
+        &mut self,
+        root: OrderedHistory,
+        target: usize,
+    ) -> Result<VecDeque<OrderedHistory>, ExploreError> {
+        let mut frontier = VecDeque::from([root]);
+        let mut frames = Vec::new();
+        while !frontier.is_empty() && frontier.len() < target && !self.timed_out() {
+            let mut node = frontier.pop_front().expect("frontier is non-empty");
+            let extended = self.expand(&mut node, &mut frames)?;
+            let children = match frames.pop() {
+                Some(frame) => {
+                    let children = untried_children(&node, std::slice::from_ref(&frame), 0);
+                    frame.rewind(&mut node);
+                    children
+                }
+                None => Vec::new(),
+            };
+            // A step's extension, now `node` itself, is its first child.
+            if extended {
+                frontier.push_back(node);
+            }
+            frontier.extend(children);
+        }
+        Ok(frontier)
+    }
+
+    /// Explores the subtree rooted at `h` in place (see the module
+    /// documentation). With a `pool`, the explorer is worker `w` of a
+    /// parallel run and hands out untried moves whenever the pool
+    /// [wants work](StealPool::wants_work).
+    fn explore(
+        &mut self,
+        h: OrderedHistory,
+        pool: Option<(&StealPool<OrderedHistory>, usize)>,
+    ) -> Result<(), ExploreError> {
+        self.traverse(h, pool, |_, _, _| {})
+    }
+
+    /// [`explore`](Explorer::explore), calling `before_move(h, frame, k)`
+    /// before move `k` of `frame` is applied to `h`, its base.
+    fn traverse(
+        &mut self,
+        mut h: OrderedHistory,
+        pool: Option<(&StealPool<OrderedHistory>, usize)>,
+        mut before_move: impl FnMut(&OrderedHistory, &Frame, usize),
+    ) -> Result<(), ExploreError> {
+        let mut frames: Vec<Frame> = Vec::new();
+        self.visit(&mut h, &mut frames)?;
+        while let Some(top) = frames.last_mut() {
+            top.rewind(&mut h);
+            let k = top.next;
+            // Past the deadline every visit returns at once: skip them.
+            if k == top.len() || self.report.timed_out {
+                frames.pop();
+                continue;
+            }
+            top.next += 1;
+            if let Some((pool, w)) = pool {
+                if pool.wants_work(w) {
+                    hand_out(&h, &mut frames, pool, w);
                 }
             }
+            let top = frames.last_mut().expect("the top frame is still open");
+            before_move(&h, top, k);
+            top.mark = h.history.checkpoint();
+            top.apply(k, &mut h);
+            self.visit(&mut h, &mut frames)?;
         }
         Ok(())
     }
 
-    /// Visits one node of the exploration tree: records it, handles
-    /// complete executions, and queues the children of incomplete ones.
+    /// Visits the node `h` and, as long as it is a step, its extension —
+    /// the node's first child — in place. Stops after a complete execution,
+    /// a blocked read, or a read whose frame it pushed.
     fn visit(
         &mut self,
-        h: OrderedHistory,
-        stack: &mut Vec<std::vec::IntoIter<OrderedHistory>>,
+        h: &mut OrderedHistory,
+        frames: &mut Vec<Frame>,
     ) -> Result<(), ExploreError> {
+        while self.expand(h, frames)? {}
+        Ok(())
+    }
+
+    /// Visits one node of the exploration tree (Algorithm 1): counts it,
+    /// then either handles a complete execution, or pushes the frame of a
+    /// read's `ValidWrites` children, or extends `h` in place by the
+    /// node's step and returns `true`. The extension is then the node's
+    /// first child, and the frame of its `Optimality`-approved
+    /// re-orderings (Algorithm 2), if any, is already pushed. Once the
+    /// deadline has passed it returns `false` without counting.
+    fn expand(
+        &mut self,
+        h: &mut OrderedHistory,
+        frames: &mut Vec<Frame>,
+    ) -> Result<bool, ExploreError> {
         if self.timed_out() {
-            return Ok(());
+            return Ok(false);
         }
         self.report.explore_calls += 1;
         self.report.max_events = self.report.max_events.max(h.order.len());
-        match self.expand(h)? {
-            Expansion::Complete(h) => self.handle_complete(&h),
-            Expansion::Children(children) => stack.push(children.into_iter()),
-        }
-        Ok(())
-    }
-
-    /// Computes the children of a node: the scheduler extensions of
-    /// Algorithm 1 interleaved with the `Optimality`-approved re-orderings
-    /// of Algorithm 2. Children depend only on `h`, never on sibling
-    /// subtrees, which is what allows partitioning them across workers
-    /// (used by the breadth-first seeding pass of the parallel mode; the
-    /// serial recursion streams the same children instead of materialising
-    /// them).
-    fn expand(&mut self, mut h: OrderedHistory) -> Result<Expansion, ExploreError> {
         debug_assert_eq!(h.check_invariants(), Ok(()));
-        match oracle_next(self.program, &h.history, &mut self.vars)? {
-            SchedulerStep::Finished => Ok(Expansion::Complete(Box::new(h))),
+        let (session, step) = match oracle_next(self.program, &h.history, &mut self.vars)? {
+            SchedulerStep::Finished => {
+                self.handle_complete(h);
+                return Ok(false);
+            }
             SchedulerStep::Begin {
                 session,
                 program_index,
             } => {
                 let tx = Self::fresh_tx(&h.history);
                 let ev = Event::new(Self::fresh_event(&h.history), EventKind::Begin);
-                let mut extended = h;
-                extended
-                    .history
-                    .begin_transaction(session, tx, program_index, ev.clone());
-                extended.push(ev.id);
-                let mut children = Vec::new();
-                self.push_with_swaps(extended, &mut children);
-                Ok(Expansion::Children(children))
+                let id = ev.id;
+                h.history.begin_transaction(session, tx, program_index, ev);
+                h.push(id);
+                return Ok(true);
             }
-            SchedulerStep::Continue { session, step, .. } => match step {
-                TxStep::Read {
-                    var,
-                    internal_value: None,
-                    ..
-                } => {
-                    let ev = Event::new(Self::fresh_event(&h.history), EventKind::Read(var));
-                    let writers = self.valid_writes(&mut h, session, &ev);
-                    if writers.is_empty() {
-                        self.report.blocked += 1;
-                    }
-                    let mut children = Vec::new();
-                    let n_writers = writers.len();
-                    let mut base = Some(h);
-                    for (k, writer) in writers.into_iter().enumerate() {
-                        // Clone the node for each sibling but move it into
-                        // the last one.
-                        let mut extended = if k + 1 == n_writers {
-                            base.take().expect("base kept for the last writer")
-                        } else {
-                            base.as_ref()
-                                .expect("base kept until the last writer")
-                                .clone()
-                        };
-                        extended.history.append_event(session, ev.clone());
-                        extended.push(ev.id);
-                        extended.history.set_wr(ev.id, writer);
-                        self.push_with_swaps(extended, &mut children);
-                    }
-                    Ok(Expansion::Children(children))
-                }
-                other => {
-                    let kind = match other {
-                        TxStep::Read { var, .. } => EventKind::Read(var),
-                        TxStep::Write { var, value } => EventKind::Write(var, value),
-                        TxStep::Commit => EventKind::Commit,
-                        TxStep::Abort => EventKind::Abort,
+            SchedulerStep::Continue { session, step, .. } => (session, step),
+        };
+        let kind = match step {
+            TxStep::Read {
+                var,
+                internal_value: None,
+                ..
+            } => {
+                let event = Event::new(Self::fresh_event(&h.history), EventKind::Read(var));
+                let writers = self.valid_writes(h, session, &event);
+                if writers.is_empty() {
+                    self.report.blocked += 1;
+                } else {
+                    let moves = Moves::Reads {
+                        session,
+                        event,
+                        writers,
                     };
-                    let ev = Event::new(Self::fresh_event(&h.history), kind);
-                    let mut extended = h;
-                    extended.history.append_event(session, ev.clone());
-                    extended.push(ev.id);
-                    let mut children = Vec::new();
-                    self.push_with_swaps(extended, &mut children);
-                    Ok(Expansion::Children(children))
+                    frames.push(Frame::open(h, moves));
                 }
-            },
+                return Ok(false);
+            }
+            TxStep::Read { var, .. } => EventKind::Read(var),
+            TxStep::Write { var, value } => EventKind::Write(var, value),
+            TxStep::Commit => EventKind::Commit,
+            TxStep::Abort => EventKind::Abort,
+        };
+        let commit = kind.is_commit();
+        let ev = Event::new(Self::fresh_event(&h.history), kind);
+        let id = ev.id;
+        h.history.append_event(session, ev);
+        h.push(id);
+        if commit {
+            self.open_swaps(h, frames);
         }
+        Ok(true)
     }
 
-    /// Appends an extension and its `exploreSwaps` results (Algorithm 2) to
-    /// the children list, preserving the serial visit order (the extension
-    /// first, then each approved re-ordering).
-    fn push_with_swaps(&mut self, mut extended: OrderedHistory, out: &mut Vec<OrderedHistory>) {
-        let mut swaps = Vec::new();
-        if !self.timed_out() {
-            // All re-orderings share the just-committed target: one
-            // causal-ancestors BFS serves every candidate (doomed-set
-            // computation, in-place trials and the materialised swaps).
-            if let Some((ancestors, reorderings)) = compute_reorderings_and_ancestors(
-                &extended,
-                Some(&self.footprints),
-                &mut self.report.statically_pruned,
+    /// `exploreSwaps` (Algorithm 2) after the commit that ends `h`: decides
+    /// `Optimality` for every re-ordering, in order, and pushes the frame
+    /// of the approved ones.
+    fn open_swaps(&mut self, h: &mut OrderedHistory, frames: &mut Vec<Frame>) {
+        if self.timed_out() {
+            return;
+        }
+        // All re-orderings share the just-committed target: one
+        // causal-ancestors BFS serves every candidate (doomed-set
+        // computation, in-place trials and the applied swaps).
+        let Some((ancestors, reorderings)) = compute_reorderings_and_ancestors(
+            h,
+            Some(&self.footprints),
+            &mut self.report.statically_pruned,
+        ) else {
+            return;
+        };
+        let mut target = TxId::INIT;
+        let mut reads = Vec::new();
+        for reordering in reorderings {
+            if self.timed_out() {
+                break;
+            }
+            if optimality(
+                h,
+                reordering.read,
+                reordering.target,
+                &ancestors,
+                self.checker.as_mut(),
+                self.config.full_optimality,
             ) {
-                for reordering in reorderings {
-                    if self.timed_out() {
-                        break;
-                    }
-                    if let Some(swapped) = optimality(
-                        &mut extended,
-                        reordering.read,
-                        reordering.target,
-                        &ancestors,
-                        self.checker.as_mut(),
-                        self.config.full_optimality,
-                    ) {
-                        swaps.push(swapped);
-                    }
-                }
+                target = reordering.target;
+                reads.push(reordering.read);
             }
         }
-        out.push(extended);
-        out.extend(swaps);
+        if !reads.is_empty() {
+            let moves = Moves::Swaps {
+                target,
+                ancestors,
+                reads,
+                order: h.order.clone(),
+            };
+            frames.push(Frame::open(h, moves));
+        }
     }
 
     /// `ValidWrites(h, e)` (§5.1): the committed transactions writing
@@ -1141,6 +1331,101 @@ mod tests {
             explore_with_assertion(&p, config, Some(assertion))
         }));
         assert!(result.is_err(), "the worker panic must propagate");
+    }
+
+    /// The long fork with the readers' sessions first: every write then
+    /// commits after the reads, which the exploration re-orders.
+    fn readers_first_long_fork() -> Program {
+        program(vec![
+            session(vec![tx("r1", vec![read("a", g("x")), read("b", g("y"))])]),
+            session(vec![tx("r2", vec![read("c", g("y")), read("d", g("x"))])]),
+            session(vec![tx("wx", vec![write(g("x"), cint(1))])]),
+            session(vec![tx("wy", vec![write(g("y"), cint(1))])]),
+        ])
+    }
+
+    /// Every swap the traversal applies while exploring the Fig. 12 and
+    /// long-fork programs equals the reference `Swap(h, r, t)`: same
+    /// history, order and rolling hash.
+    #[test]
+    fn every_applied_swap_equals_swap() {
+        let cc = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency);
+        let star = ExploreConfig::explore_ce_star(
+            IsolationLevel::ReadCommitted,
+            IsolationLevel::CausalConsistency,
+        );
+        for (p, min_swaps) in [
+            (fig12_program(), 1),
+            (long_fork_program(), 0),
+            (readers_first_long_fork(), 1),
+        ] {
+            for config in [&cc, &star] {
+                let mut explorer = Explorer::new(&p, config, None);
+                let root = OrderedHistory::new(initial_history(&p, &mut explorer.vars));
+                let mut swaps = 0;
+                explorer
+                    .traverse(root, None, |h, frame, k| {
+                        if let Moves::Swaps { target, reads, .. } = &frame.moves {
+                            crate::swap::assert_apply_swap_equals_swap(h, reads[k], *target);
+                            swaps += 1;
+                        }
+                    })
+                    .unwrap();
+                assert!(swaps >= min_swaps, "{swaps} swaps applied");
+                assert_eq!(explorer.report.outputs, run(&p, config.clone()).outputs);
+            }
+        }
+    }
+
+    /// Handing work out is exact. A single-threaded worker whose sibling
+    /// is marked idle hands out the untried moves of its shallowest frame
+    /// whenever its deque is empty; exploring every handed-out task as a
+    /// task of its own reproduces the serial run's counts and output
+    /// fingerprints.
+    #[test]
+    fn handed_out_moves_explore_to_the_serial_result() {
+        use std::collections::BTreeSet;
+        let cc = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency);
+        let cases = [
+            (fig12_program(), cc.clone()),
+            (fig12_program(), cc.clone().without_optimality()),
+            (abort_program(), cc.clone()),
+            (readers_first_long_fork(), cc),
+            (
+                readers_first_long_fork(),
+                ExploreConfig::explore_ce_star(
+                    IsolationLevel::ReadAtomic,
+                    IsolationLevel::Serializability,
+                ),
+            ),
+        ];
+        for (p, config) in cases {
+            let config = config.tracking_duplicates().collecting_histories();
+            let serial = run(&p, config.clone());
+            let pool = StealPool::new(2);
+            pool.enter_idle();
+            let mut worker = Explorer::new(&p, &config, None);
+            pool.seed([OrderedHistory::new(initial_history(&p, &mut worker.vars))]);
+            let mut tasks = 0;
+            while let Some(task) = pool.pop_local(0) {
+                worker.explore(task, Some((&pool, 0))).unwrap();
+                pool.finish_task();
+                tasks += 1;
+            }
+            assert!(pool.is_done());
+            assert!(tasks > 1, "nothing was handed out");
+            let got = &worker.report;
+            assert_eq!(got.explore_calls, serial.explore_calls);
+            assert_eq!(got.end_states, serial.end_states);
+            assert_eq!(got.outputs, serial.outputs);
+            assert_eq!(got.blocked, serial.blocked);
+            assert_eq!(got.duplicate_outputs, serial.duplicate_outputs);
+            assert_eq!(got.max_events, serial.max_events);
+            let fingerprints = |r: &ExplorationReport| -> BTreeSet<_> {
+                r.histories.iter().map(|h| h.fingerprint()).collect()
+            };
+            assert_eq!(fingerprints(got), fingerprints(&serial));
+        }
     }
 
     /// Regression test for the `ValidWrites` trial protocol: the candidate

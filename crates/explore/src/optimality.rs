@@ -9,6 +9,11 @@
 //! exploration isolation level, and (ii) every read deleted by the swap, as
 //! well as the re-ordered read itself, is not already swapped and reads
 //! from the causally latest valid write.
+//!
+//! The condition is a verdict only: every query runs on the explorer's
+//! history in place, as a trial under a checkpoint that is rolled back,
+//! and the explorer applies an accepted swap itself when it visits that
+//! child.
 
 use txdpor_history::{ConsistencyChecker, EventId, EventKind, TxId, TxSet};
 
@@ -195,10 +200,10 @@ pub fn read_latest(
 ///
 /// The consistency queries are funnelled through the caller's
 /// [`ConsistencyChecker`] engine so that scratch buffers and the
-/// fingerprint memo amortise across the whole exploration.
-///
-/// Returns the swapped ordered history when the condition holds so that the
-/// caller does not need to recompute it.
+/// fingerprint memo amortise across the whole exploration. Every query
+/// runs on `h` in place under a checkpoint, and `h` is restored before
+/// returning. An accepted swap is then applied by the caller with
+/// [`apply_swap`](crate::swap::apply_swap).
 pub fn optimality(
     h: &mut OrderedHistory,
     read: EventId,
@@ -206,13 +211,12 @@ pub fn optimality(
     target_ancestors: &TxSet,
     checker: &mut dyn ConsistencyChecker,
     full_condition: bool,
-) -> Option<OrderedHistory> {
+) -> bool {
     // Consistency of the swapped history, decided on an in-place trial:
     // pop the doomed suffix, redirect the read, check, roll back. The
     // trial history is structurally identical to `swap(h, read, target)`
     // — same logs, same wr, same rolling hash — so the verdict (and even
-    // the engine's memo entry) transfers to the history materialised
-    // below, which is only built once the whole condition passes.
+    // the engine's memo entry) transfers to the swap the caller applies.
     let r_pos = h.pos(read).expect("read is ordered");
     let mark = h.history.checkpoint();
     pop_doomed(
@@ -226,7 +230,7 @@ pub fn optimality(
     let consistent = checker.check(&h.history);
     h.history.rollback(mark);
     if !consistent {
-        return None;
+        return false;
     }
     if full_condition {
         // Every read deleted by the swap, plus `r` itself, must not be
@@ -245,59 +249,20 @@ pub fn optimality(
         }
         for r_prime in to_check {
             if swapped(h, r_prime) {
-                return None;
+                return false;
             }
             if !read_latest(h, r_prime, target, target_ancestors, checker) {
-                return None;
+                return false;
             }
         }
     }
-    Some(materialize_swap(h, read, target, target_ancestors))
-}
-
-/// Materialises `Swap(h, r, t)` (§5.2) for an accepted re-ordering by
-/// re-running the in-place trial and taking a flat arena clone of it —
-/// cheaper than re-building the pruned history event by event
-/// ([`History::remove_events`]), whose rolling-hash mixing dominates. The
-/// result is identical to [`crate::swap::swap`] (asserted by tests).
-fn materialize_swap(
-    h: &mut OrderedHistory,
-    read: EventId,
-    target: TxId,
-    target_ancestors: &TxSet,
-) -> OrderedHistory {
-    let r_pos = h.pos(read).expect("read is ordered");
-    let mark = h.history.checkpoint();
-    pop_doomed(
-        &mut h.history,
-        &h.order,
-        r_pos + 1,
-        target,
-        target_ancestors,
-    );
-    h.history.set_wr(read, target);
-    let read_tx = h
-        .history
-        .tx_of_event(read)
-        .expect("read survives the deletion");
-    // The order keeps surviving events except those of the read's (now
-    // pending) transaction, then appends that transaction in program order.
-    let mut order: Vec<EventId> = h
-        .order
-        .iter()
-        .filter(|e| h.history.tx_of_event(**e).is_some_and(|t| t != read_tx))
-        .copied()
-        .collect();
-    order.extend(h.history.tx(read_tx).events.iter().map(|e| e.id));
-    let history = h.history.clone();
-    h.history.rollback(mark);
-    OrderedHistory { history, order }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::swap::compute_reorderings;
+    use crate::swap::{apply_swap, compute_reorderings};
     use txdpor_history::{
         engine_for, Event, EventKind, History, IsolationLevel, SessionId, Value, Var,
     };
@@ -394,7 +359,7 @@ mod tests {
         let snapshot = h.clone();
         assert!(read_latest(&mut h, r2, target, &anc, ck.as_mut()));
         assert!(read_latest(&mut h, r3, target, &anc, ck.as_mut()));
-        assert!(optimality(&mut h, r2, target, &anc, ck.as_mut(), true).is_some());
+        assert!(optimality(&mut h, r2, target, &anc, ck.as_mut(), true));
         assert_eq!(h, snapshot, "in-place trials must restore the history");
 
         // In the branch where t3 reads from t1: once the wr edge of r3
@@ -405,21 +370,53 @@ mod tests {
         let anc = h.history.causal_ancestors(target);
         assert!(read_latest(&mut h, r2, target, &anc, ck.as_mut()));
         assert!(!read_latest(&mut h, r3, target, &anc, ck.as_mut()));
-        assert!(optimality(&mut h, r2, target, &anc, ck.as_mut(), true).is_none());
+        assert!(!optimality(&mut h, r2, target, &anc, ck.as_mut(), true));
         // The ablation mode (consistency only) would still allow it.
-        assert!(optimality(&mut h, r2, target, &anc, ck.as_mut(), false).is_some());
+        assert!(optimality(&mut h, r2, target, &anc, ck.as_mut(), false));
     }
 
-    /// Fig. 13: four single-transaction sessions; after swapping t3 before
-    /// t2, the read of t2 is "swapped" and must not be deleted by a later
-    /// swap.
-    #[test]
-    fn swapped_reads_block_further_swaps() {
+    /// Fig. 10b: a committed reader of x and y (both from init) followed
+    /// by a just-committed writer of x and y.
+    fn fig10() -> OrderedHistory {
         let (x, y) = (Var(0), Var(1));
-        let mut ck = engine_for(IsolationLevel::CausalConsistency);
-        // History h1 of Fig. 13c: t1=read(x)<-init; t3=write(y,3) committed;
-        // t2=read(y)<-t3 (swapped earlier: t3 is after t2 in oracle order);
-        // t4=write(x,4) just committed.
+        let mut b = Builder::new();
+        b.begin(0);
+        b.read(0, x, TxId::INIT);
+        b.read(0, y, TxId::INIT);
+        b.commit(0);
+        b.begin(1);
+        b.write(1, x, 2);
+        b.write(1, y, 2);
+        b.commit(1);
+        b.done()
+    }
+
+    /// Fig. 13b: readers of x and y (both from init), then the writer of
+    /// y and the just-committed writer of x, one session each.
+    fn fig13() -> OrderedHistory {
+        let (x, y) = (Var(0), Var(1));
+        let mut b = Builder::new();
+        b.begin(0);
+        b.read(0, x, TxId::INIT);
+        b.commit(0);
+        b.begin(1);
+        b.read(1, y, TxId::INIT);
+        b.commit(1);
+        b.begin(2);
+        b.write(2, y, 3);
+        b.commit(2);
+        b.begin(3);
+        b.write(3, x, 4);
+        b.commit(3);
+        b.done()
+    }
+
+    /// History h1 of Fig. 13c: t1=read(x)<-init; t3=write(y,3) committed;
+    /// t2=read(y)<-t3 (swapped earlier: t3 is after t2 in oracle order);
+    /// t4=write(x,4) just committed. Returns the history and the reads of
+    /// t1 and t2.
+    fn fig13_swapped() -> (OrderedHistory, EventId, EventId) {
+        let (x, y) = (Var(0), Var(1));
         let mut b = Builder::new();
         b.begin(0); // session 0: t1 = read x
         let r1 = b.read(0, x, TxId::INIT);
@@ -437,8 +434,17 @@ mod tests {
         b.begin(3);
         b.write(3, x, 4);
         b.commit(3);
+        (b.done(), r1, r2)
+    }
+
+    /// Fig. 13: four single-transaction sessions; after swapping t3 before
+    /// t2, the read of t2 is "swapped" and must not be deleted by a later
+    /// swap.
+    #[test]
+    fn swapped_reads_block_further_swaps() {
+        let mut ck = engine_for(IsolationLevel::CausalConsistency);
+        let (h1, r1, r2) = fig13_swapped();
         let t4 = TxId(4);
-        let h1 = b.done();
         h1.check_invariants().unwrap();
 
         // r2 is a swapped read; r1 is not.
@@ -451,27 +457,44 @@ mod tests {
         let reorderings = compute_reorderings(&h1);
         assert!(reorderings.iter().any(|p| p.read == r1 && p.target == t4));
         let anc = h1.history.causal_ancestors(t4);
-        assert!(optimality(&mut h1, r1, t4, &anc, ck.as_mut(), true).is_none());
+        assert!(!optimality(&mut h1, r1, t4, &anc, ck.as_mut(), true));
         // Without the swapped-check ablation it would be allowed.
-        assert!(optimality(&mut h1, r1, t4, &anc, ck.as_mut(), false).is_some());
+        assert!(optimality(&mut h1, r1, t4, &anc, ck.as_mut(), false));
     }
 
     #[test]
-    fn materialized_swap_equals_swap() {
-        // The accepted-path materialisation (flat clone of the in-place
-        // trial) must produce exactly `Swap(h, r, t)`: same history, same
-        // order, same rolling hash (so memo entries transfer).
+    fn applied_swap_equals_swap() {
+        // The in-place swap the explorer applies must produce exactly
+        // `Swap(h, r, t)`: same history, same order, same rolling hash (so
+        // memo entries transfer). Checked at every candidate re-ordering
+        // of the Fig. 10, Fig. 12 (both branches) and Fig. 13 fixtures.
+        let fixtures = [
+            fig10(),
+            fig12(true).0,
+            fig12(false).0,
+            fig13(),
+            fig13_swapped().0,
+        ];
+        let mut checked = 0;
+        for h in &fixtures {
+            for r in compute_reorderings(h) {
+                crate::swap::assert_apply_swap_equals_swap(h, r.read, r.target);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 6, "only {checked} re-orderings checked");
+        // The accepted Fig. 12 swap, as the explorer applies it.
         let (mut h, r2, _) = fig12(true);
         let target = TxId(4);
         let anc = h.history.causal_ancestors(target);
         let mut ck = engine_for(IsolationLevel::CausalConsistency);
-        let got = optimality(&mut h, r2, target, &anc, ck.as_mut(), true)
-            .expect("fig12 swap of (r2, t4) is accepted");
+        assert!(optimality(&mut h, r2, target, &anc, ck.as_mut(), true));
         let want = crate::swap::swap(&h, r2, target);
-        assert_eq!(got.history, want.history);
-        assert_eq!(got.order, want.order);
-        assert_eq!(got.history.live_hash(), want.history.live_hash());
-        got.check_invariants().unwrap();
+        apply_swap(&mut h, r2, target, &anc);
+        assert_eq!(h.history, want.history);
+        assert_eq!(h.order, want.order);
+        assert_eq!(h.history.live_hash(), want.history.live_hash());
+        h.check_invariants().unwrap();
     }
 
     #[test]
@@ -509,10 +532,9 @@ mod tests {
         let t2 = TxId(2);
         let mut ck = engine_for(IsolationLevel::CausalConsistency);
         let anc = h.history.causal_ancestors(t2);
-        let res = optimality(&mut h, r, t2, &anc, ck.as_mut(), true);
-        assert!(res.is_some());
-        let sh = res.unwrap();
-        sh.check_invariants().unwrap();
-        assert_eq!(sh.history.wr_of(r), Some(t2));
+        assert!(optimality(&mut h, r, t2, &anc, ck.as_mut(), true));
+        apply_swap(&mut h, r, t2, &anc);
+        h.check_invariants().unwrap();
+        assert_eq!(h.history.wr_of(r), Some(t2));
     }
 }

@@ -6,27 +6,31 @@
 //! partition of the root frontier starves every worker but one. The
 //! [`StealPool`] fixes the imbalance dynamically:
 //!
+//! * **Tasks are subtree roots.** A worker explores each task it pops to
+//!   the end, in place on the task's history, exactly like the serial
+//!   explorer. It materialises children as tasks of their own only to
+//!   hand work out: in the seeding pass, and when [`wants_work`] says a
+//!   sibling is idle while the worker's own deque is empty. It then
+//!   hands out the untried children of the shallowest node on its path:
+//!   the roots of the largest subtrees it has not entered.
 //! * **Per-worker LIFO deques.** Each worker owns a `Mutex`-guarded
-//!   [`VecDeque`] of exploration nodes. The owner pushes children at the
-//!   *back* and pops from the *back*, so it traverses its subtree
-//!   depth-first — exactly the serial visit order, which keeps the
-//!   incremental consistency engines journal-warm (each popped child
-//!   extends the history the engine just saw).
-//! * **Thieves steal shallow.** The *front* of a deque holds the oldest,
-//!   shallowest nodes — the roots of the largest untouched subtrees. An
-//!   idle worker steals half of a victim's deque from the front, so whole
-//!   subtrees migrate in one lock acquisition and the victim keeps the
-//!   deep nodes its engine is warm for.
+//!   [`VecDeque`]. The owner pushes at the *back* and pops from the
+//!   *back*; thieves take from the *front*, where the oldest, shallowest
+//!   tasks are. An idle worker steals half of a victim's deque, so whole
+//!   subtrees migrate in one lock acquisition.
+//! * **Idle count.** A worker that found nothing to pop or steal
+//!   [`enter_idle`]s before backing off and [`leave_idle`]s once it finds
+//!   work; busy workers read the count to decide when to hand work out.
 //! * **Termination detection.** A task is *in flight* from the moment it
-//!   is seeded or pushed until its owner finishes processing it; children
-//!   are counted *before* their parent is finished, so the atomic
-//!   in-flight counter never touches zero while any work exists. A worker
-//!   that finds nothing to pop or steal and sees the counter at zero can
-//!   safely exit; until then it backs off (a few spin-yields, then short
-//!   sleeps).
+//!   is seeded or pushed until its owner finishes processing it; tasks
+//!   handed out are counted *before* the task they came from is finished,
+//!   so the atomic in-flight counter never touches zero while any work
+//!   exists. A worker that finds nothing to pop or steal and sees the
+//!   counter at zero can safely exit; until then it backs off (a few
+//!   spin-yields, then short sleeps).
 //!
-//! The pool schedules; it never inspects nodes. Since every node of the
-//! tree is processed by exactly one worker no matter how tasks migrate,
+//! The pool schedules; it never inspects tasks. Since every node of the
+//! tree is explored by exactly one worker no matter how tasks migrate,
 //! all order-independent exploration quantities (counts, fingerprint
 //! sets) are bit-identical to a serial run.
 //!
@@ -41,6 +45,9 @@
 //! [`finish_task`]: StealPool::finish_task
 //! [`poison`]: StealPool::poison
 //! [`is_poisoned`]: StealPool::is_poisoned
+//! [`wants_work`]: StealPool::wants_work
+//! [`enter_idle`]: StealPool::enter_idle
+//! [`leave_idle`]: StealPool::leave_idle
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -57,6 +64,8 @@ pub struct StealPool<T> {
     in_flight: AtomicUsize,
     /// Total tasks migrated by steals.
     steals: AtomicU64,
+    /// Workers currently backing off with nothing to do.
+    idle: AtomicUsize,
     /// Set when a worker died mid-task (see the module documentation's
     /// panic-safety contract); tells the surviving workers to stop.
     poisoned: AtomicBool,
@@ -74,6 +83,7 @@ impl<T> StealPool<T> {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             in_flight: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
+            idle: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
         }
     }
@@ -98,16 +108,15 @@ impl<T> StealPool<T> {
         self.in_flight.fetch_add(count, Ordering::SeqCst);
     }
 
-    /// Pops the deepest node of worker `w`'s own deque (LIFO — the child
-    /// pushed last, extending the history the worker's engine just saw).
+    /// Pops the task worker `w` pushed last (LIFO).
     pub fn pop_local(&self, w: usize) -> Option<T> {
         self.queues[w].lock().expect("steal deque lock").pop_back()
     }
 
-    /// Registers and enqueues the children of a node worker `w` just
-    /// expanded. Must be called *before* [`finish_task`] on the parent:
-    /// the children are added to the in-flight count first, so the count
-    /// can never reach zero while descendants remain.
+    /// Registers and enqueues tasks worker `w` hands out from the task it
+    /// is processing. Must be called *before* [`finish_task`] on that
+    /// task: the new tasks are added to the in-flight count first, so the
+    /// count can never reach zero while work remains.
     ///
     /// [`finish_task`]: StealPool::finish_task
     pub fn push_children<I: IntoIterator<Item = T>>(&self, w: usize, children: I) {
@@ -118,8 +127,8 @@ impl<T> StealPool<T> {
             .fetch_add(queue.len() - before, Ordering::SeqCst);
     }
 
-    /// Marks one popped task as fully processed (its children, if any,
-    /// were already registered via [`push_children`]).
+    /// Marks one popped task as fully processed (the tasks it handed out,
+    /// if any, were already registered via [`push_children`]).
     ///
     /// [`push_children`]: StealPool::push_children
     pub fn finish_task(&self) {
@@ -157,6 +166,26 @@ impl<T> StealPool<T> {
             return count;
         }
         0
+    }
+
+    /// Marks one worker as idle: it found nothing to pop or steal and is
+    /// about to back off. Paired with [`leave_idle`](StealPool::leave_idle).
+    pub fn enter_idle(&self) {
+        self.idle.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Marks a worker that [`enter_idle`](StealPool::enter_idle)d as busy
+    /// again (or exiting).
+    pub fn leave_idle(&self) {
+        self.idle.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Whether worker `w` should hand work out: a sibling is idle and `w`'s
+    /// own deque holds nothing the sibling could steal. Cheap while every
+    /// worker is busy (one atomic load).
+    pub fn wants_work(&self, w: usize) -> bool {
+        self.idle.load(Ordering::Relaxed) > 0
+            && self.queues[w].lock().expect("steal deque lock").is_empty()
     }
 
     /// Whether every seeded or pushed task has been finished. Only
@@ -246,6 +275,22 @@ mod tests {
         assert_eq!(pool.pop_local(0), Some(3));
         assert_eq!(pool.pop_local(0), None);
         assert_eq!(pool.steals(), 2);
+    }
+
+    #[test]
+    fn busy_workers_want_to_hand_out_work_only_to_an_idle_sibling() {
+        let pool: StealPool<u32> = StealPool::new(2);
+        assert!(!pool.wants_work(0), "nobody is idle");
+        pool.enter_idle();
+        assert!(pool.wants_work(0), "a sibling idles and deque 0 is empty");
+        pool.push_children(0, [1]);
+        assert!(
+            !pool.wants_work(0),
+            "the idle sibling can steal from deque 0"
+        );
+        assert_eq!(pool.steal_into(1), 1);
+        pool.leave_idle();
+        assert!(!pool.wants_work(0), "the sibling is busy again");
     }
 
     #[test]

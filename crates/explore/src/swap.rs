@@ -8,6 +8,11 @@
 //! causal past of the committed transaction, producing a feasible history
 //! with exactly one pending transaction (the one holding the re-ordered
 //! read).
+//!
+//! The explorer applies an accepted swap in place ([`apply_swap`]) to the
+//! one history it explores, under a checkpoint it later rolls back;
+//! [`swap`] builds the swapped history as a copy and is the reference the
+//! in-place version is tested against.
 
 use std::collections::BTreeSet;
 
@@ -39,8 +44,8 @@ pub fn compute_reorderings(h: &OrderedHistory) -> Vec<Reordering> {
 
 /// Like [`compute_reorderings`], also handing back the causal ancestors of
 /// the just-committed target so the explorer can reuse the BFS across the
-/// in-place `Optimality` trials and the materialised swaps (`None` when the
-/// last event is not a commit).
+/// `Optimality` trials and the swaps it applies (`None` when the last
+/// event is not a commit).
 ///
 /// When static `footprints` are supplied, candidate transactions whose
 /// type is statically independent of the target's type are skipped before
@@ -172,10 +177,34 @@ pub(crate) fn pop_doomed(
     }
 }
 
+/// Applies `Swap(h_<, r, t)` to `h` in place, under the caller's
+/// checkpoint: pops the doomed events, redirects `r` to read from `t` and
+/// moves the events of `r`'s (now pending) transaction to the end of the
+/// order. The result equals [`swap_with`] on the same
+/// arguments — same history, order and rolling hash — without building a
+/// second history. Rolling back to the checkpoint and restoring the order
+/// undoes it. `ancestors` are the causal ancestors of `target`.
+pub fn apply_swap(h: &mut OrderedHistory, read: EventId, target: TxId, ancestors: &TxSet) {
+    let r_pos = h.pos(read).expect("read is ordered");
+    pop_doomed(&mut h.history, &h.order, r_pos + 1, target, ancestors);
+    h.history.set_wr(read, target);
+    let read_tx = h
+        .history
+        .tx_of_event(read)
+        .expect("read survives the deletion");
+    let history = &h.history;
+    h.order
+        .retain(|e| history.tx_of_event(*e).is_some_and(|t| t != read_tx));
+    h.order
+        .extend(history.tx(read_tx).events.iter().map(|e| e.id));
+}
+
 /// `Swap(h_<, r, t)` (§5.2): produces the ordered history in which `r`
 /// reads from `t`, all events after `r` outside the causal past of `t` are
 /// removed, and the (now pending) transaction of `r` is moved to the end of
-/// the history order.
+/// the history order. The explorer applies swaps in place
+/// ([`apply_swap`]); this copying version is the reference it is tested
+/// against.
 pub fn swap(h: &OrderedHistory, read: EventId, target: TxId) -> OrderedHistory {
     swap_with(h, read, target, &h.history.causal_ancestors(target))
 }
@@ -217,6 +246,25 @@ pub fn last_committed_transaction(h: &OrderedHistory) -> Option<TxId> {
     } else {
         None
     }
+}
+
+/// Asserts that [`apply_swap`] turns `h` into exactly [`swap`]`(h, read,
+/// target)` — history, order and rolling hash — and that rolling it back
+/// restores `h`.
+#[cfg(test)]
+pub(crate) fn assert_apply_swap_equals_swap(h: &OrderedHistory, read: EventId, target: TxId) {
+    let ancestors = h.history.causal_ancestors(target);
+    let want = swap_with(h, read, target, &ancestors);
+    let mut got = h.clone();
+    let mark = got.history.checkpoint();
+    apply_swap(&mut got, read, target, &ancestors);
+    assert_eq!(got.history, want.history, "swapped history differs");
+    assert_eq!(got.order, want.order, "swapped order differs");
+    assert_eq!(got.history.live_hash(), want.history.live_hash());
+    assert_eq!(got.check_invariants(), Ok(()));
+    got.history.rollback(mark);
+    assert_eq!(got.history, h.history);
+    assert_eq!(got.history.live_hash(), h.history.live_hash());
 }
 
 #[cfg(test)]

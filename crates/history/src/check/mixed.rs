@@ -44,13 +44,12 @@
 //! a word per session (frontier position and started flag) followed by
 //! the last committed writer of every externally read variable, restored
 //! from an undo stack on backtrack. The same vector is the failed-state
-//! key, looked up by slice in an exact set (variables nobody reads never
-//! influence the future, so they are not tracked). The search records the
-//! commit order as it goes, so a successful decision leaves its witness
-//! behind.
+//! key, looked up in an exact table of fixed-width states over one flat
+//! arena (`check::failed`; variables nobody reads never influence
+//! the future, so they are not tracked). The search records the commit
+//! order as it goes, so a successful decision leaves its witness behind.
 
-use std::collections::HashSet;
-
+use crate::check::failed::{self, FailedStates};
 use crate::check::frontier::FrontierIndex;
 use crate::check::weak::WeakIndex;
 use crate::history::History;
@@ -205,8 +204,8 @@ struct Search {
     state: Vec<u32>,
     /// Last-writer words overwritten by commits, as `(word, old value)`.
     undo: Vec<(u32, u32)>,
-    /// Failed states of the current check (exact keys; cleared per check).
-    failed: HashSet<Box<[u32]>>,
+    /// Failed states of the current check (exact keys; reset per check).
+    failed: FailedStates,
     /// The commit order of the current prefix, init first: the witness
     /// once the search succeeds.
     order: Vec<TxId>,
@@ -268,7 +267,7 @@ impl Search {
         self.state.clear();
         self.state.resize(sessions + self.tracked.len(), 0);
         self.undo.clear();
-        self.failed.clear();
+        self.failed.reset(self.state.len());
         self.order.clear();
         self.order.push(TxId::INIT);
         self.search(idx)
@@ -318,7 +317,8 @@ impl Search {
         if self.order.len() == idx.len() + 1 {
             return true;
         }
-        if self.failed.contains(&self.state[..]) {
+        let key = failed::hash(&self.state);
+        if self.failed.contains(key, &self.state) {
             return false;
         }
         for s in 0..idx.sessions.len() {
@@ -396,7 +396,7 @@ impl Search {
             self.committed[slot] = false;
             self.state[s] = word;
         }
-        self.failed.insert(self.state.as_slice().into());
+        self.failed.insert(key, &self.state);
         false
     }
 }

@@ -25,6 +25,7 @@
 
 pub mod engine;
 pub mod evidence;
+pub(crate) mod failed;
 pub(crate) mod frontier;
 pub mod mixed;
 #[cfg(test)]

@@ -17,17 +17,22 @@
 //! `event ↦ wr source` are direct-indexed vectors over the raw `u32`
 //! identifiers (`crate::arena`). Exploration engines allocate ids
 //! contiguously per branch (see [`History::max_event_id`]), so lookups are
-//! O(1) loads and cloning a history is a handful of flat copies — the
-//! "compact copy" the DPOR sibling expansion relies on.
+//! O(1) loads and cloning a history is a handful of flat copies. The
+//! explorers rarely clone: only to hand a node to another worker, or to
+//! keep an output history.
 //!
 //! # Undo journal
 //!
-//! Trial extensions (`ValidWrites`, `readLatest`, the DFS baseline) no
-//! longer clone the history: they [`History::checkpoint`] it, mutate it in
-//! place through the journaled mutators ([`History::append_event`],
-//! [`History::set_wr`], [`History::unset_wr`], [`History::pop_event`],
-//! [`History::begin_transaction`]) and [`History::rollback`] to the mark,
-//! which restores the history bit-for-bit (asserted by property tests).
+//! Both explorers run their whole search on one history per worker. They
+//! [`History::checkpoint`] it, mutate it in place through the journaled
+//! mutators ([`History::append_event`], [`History::set_wr`],
+//! [`History::unset_wr`], [`History::pop_event`],
+//! [`History::retract_begin`], [`History::begin_transaction`]) and
+//! [`History::rollback`] to the mark, which restores the history
+//! bit-for-bit (asserted by property tests). Checkpoints nest: the
+//! explore-ce traversal keeps one open per node on its path, and the
+//! `ValidWrites`, `readLatest` and `Optimality` trials open theirs inside.
+//! [`History::clone_at`] copies the history as it was at an open mark.
 //! A rolling structural hash ([`History::live_hash`]) is maintained
 //! incrementally across all mutations so that memoised consistency engines
 //! obtain their key in O(1) instead of re-walking the history.
@@ -102,8 +107,11 @@ static NEXT_HISTORY_UID: AtomicU64 = AtomicU64::new(1);
 /// generation has been trimmed out of the window fall back to a full
 /// rebuild, so the capacity only bounds how far behind an observer may lag
 /// while still syncing incrementally (hot loops stay within a handful of
-/// mutations).
-pub const DELTA_LOG_CAPACITY: usize = 4096;
+/// mutations). An explorer keeps one history for its whole run, so its
+/// window is always full and the capacity is also the log's standing
+/// memory. On the benchmark's exploration workloads this window takes
+/// exactly as many full rebuilds as one twice as large.
+pub const DELTA_LOG_CAPACITY: usize = 2048;
 
 /// Structural summary of an appended or popped event, carried by
 /// [`HistoryDelta`] so observers can replay mutations without consulting
@@ -656,6 +664,31 @@ impl History {
     /// Whether a checkpoint is currently outstanding (journal armed).
     pub fn in_checkpoint(&self) -> bool {
         self.journal_depth > 0
+    }
+
+    /// A plain copy of the history as it was when `mark` was taken, while
+    /// this history moves on from it: the arena is copied together with
+    /// the journal written since the mark, and the copy is rolled back.
+    /// Like [`Clone`], the copy has a fresh [`uid`](History::uid) and no
+    /// outstanding checkpoint. An explorer uses it to hand a node it has
+    /// descended below to another worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mark is stale (taken after mutations that were
+    /// already rolled back).
+    pub fn clone_at(&self, mark: HistoryMark) -> History {
+        assert!(mark.journal_len <= self.journal.len(), "stale history mark");
+        let mut copy = self.clone();
+        copy.journal = self.journal[mark.journal_len..].to_vec();
+        copy.journal_depth = 1;
+        copy.rollback(HistoryMark { journal_len: 0 });
+        // Drop the spent journal, and the inverse mutations, which are
+        // not news to any observer of a fresh uid.
+        copy.journal = Vec::new();
+        copy.deltas = VecDeque::new();
+        copy.delta_base = 0;
+        copy
     }
 
     #[inline]
@@ -2294,6 +2327,38 @@ mod tests {
         h.append_event(SessionId(4), Event::new(r, EventKind::Read(Var(0))));
         h.set_wr(r, TxId(1));
         h.unset_wr(r);
+        h.rollback(inner);
+        assert_eq!(h, inner_snapshot);
+        h.rollback(outer);
+        assert_eq!(h, outer_snapshot);
+    }
+
+    #[test]
+    fn clone_at_copies_the_history_as_of_each_open_mark() {
+        let mut h = fig3_history();
+        let outer_snapshot = h.clone();
+        let outer = h.checkpoint();
+        h.begin_transaction(SessionId(4), TxId(5), 0, ev(100, EventKind::Begin));
+        let inner_snapshot = h.clone();
+        let inner = h.checkpoint();
+        let r = EventId(101);
+        h.append_event(SessionId(4), Event::new(r, EventKind::Read(Var(0))));
+        h.set_wr(r, TxId(1));
+        let commit = h.pop_event(SessionId(3));
+        assert!(commit.kind.is_commit());
+        let now = h.clone();
+        for (mark, want) in [(outer, &outer_snapshot), (inner, &inner_snapshot)] {
+            let copy = h.clone_at(mark);
+            assert_eq!(&copy, want);
+            assert_eq!(copy.live_hash(), want.live_hash());
+            assert_eq!(copy.max_event_id(), want.max_event_id());
+            assert_eq!(copy.max_tx_id(), want.max_tx_id());
+            assert_eq!(copy.num_pending(), want.num_pending());
+            assert!(!copy.in_checkpoint());
+            assert_ne!(copy.uid(), h.uid());
+        }
+        // The source keeps its state and both checkpoints.
+        assert_eq!(h, now);
         h.rollback(inner);
         assert_eq!(h, inner_snapshot);
         h.rollback(outer);
