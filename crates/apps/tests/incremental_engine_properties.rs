@@ -179,6 +179,11 @@ impl EngineFleet {
                 s.memo_misses,
                 "{spec} engine miscounted how its memo misses were served"
             );
+            assert_eq!(
+                s.rebuild_causes.total(),
+                s.full_rebuilds,
+                "{spec} engine miscounted the causes of its rebuilds"
+            );
         }
     }
 }
@@ -247,8 +252,9 @@ proptest! {
 /// two engine syncs — with a checkpoint open across the burst — followed
 /// by a rollback must leave every engine on the *full-rebuild* path (the
 /// trimmed delta window is unreplayable), never on a silently divergent
-/// incremental sync. Verdicts are pinned bit-identical to fresh engines on
-/// both sides of the overflow boundary.
+/// incremental sync — and count that rebuild under the trimmed window.
+/// Verdicts are pinned bit-identical to fresh engines on both sides of the
+/// overflow boundary.
 #[test]
 fn delta_log_eviction_with_open_checkpoint_forces_full_rebuild() {
     let program = client_program(&WorkloadConfig {
@@ -305,6 +311,11 @@ fn delta_log_eviction_with_open_checkpoint_forces_full_rebuild() {
         }
         let after = engine.stats();
         let rebuilt = after.full_rebuilds > before.full_rebuilds;
+        assert_eq!(
+            after.rebuild_causes.window - before.rebuild_causes.window,
+            after.full_rebuilds - before.full_rebuilds,
+            "{spec} engine blamed a trimmed delta window on another cause"
+        );
         let memo_served = after.memo_hits > before.memo_hits;
         assert!(
             rebuilt || memo_served,

@@ -326,6 +326,21 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// The causes of an engine's full rebuilds, one count per cause (they sum
+/// to the row's `full_rebuilds`).
+fn rebuild_causes_json(c: &txdpor_history::RebuildCauses) -> JsonValue {
+    JsonValue::Object(vec![
+        ("first_sync".into(), JsonValue::uint(c.first_sync)),
+        ("window".into(), JsonValue::uint(c.window)),
+        ("begin".into(), JsonValue::uint(c.begin)),
+        ("undo_begin".into(), JsonValue::uint(c.undo_begin)),
+        ("append".into(), JsonValue::uint(c.append)),
+        ("pop".into(), JsonValue::uint(c.pop)),
+        ("set_wr".into(), JsonValue::uint(c.set_wr)),
+        ("unset_wr".into(), JsonValue::uint(c.unset_wr)),
+    ])
+}
+
 /// One benchmark row (program × algorithm) as a JSON object.
 pub fn measurement_json(m: &Measurement) -> JsonValue {
     JsonValue::Object(vec![
@@ -364,6 +379,10 @@ pub fn measurement_json(m: &Measurement) -> JsonValue {
         (
             "full_rebuilds".into(),
             JsonValue::uint(m.engine.full_rebuilds),
+        ),
+        (
+            "rebuild_causes".into(),
+            rebuild_causes_json(&m.engine.rebuild_causes),
         ),
         // Named `check_cpu_nanos` (not `check_nanos`) because it is the
         // per-thread CPU time summed across workers: on parallel rows it
@@ -473,6 +492,13 @@ mod tests {
                 memo_slots: 1024,
                 incremental_hits: 50,
                 full_rebuilds: 10,
+                rebuild_causes: txdpor_history::RebuildCauses {
+                    first_sync: 1,
+                    window: 1,
+                    pop: 6,
+                    undo_begin: 2,
+                    ..Default::default()
+                },
                 check_nanos: 123_456,
                 shared_memo_hits: 7,
             },
@@ -576,6 +602,9 @@ mod tests {
             row.get("benchmark").and_then(JsonValue::as_str),
             Some("tiny \"quoted\"\n")
         );
+        let causes = row.get("rebuild_causes").unwrap();
+        assert_eq!(causes.get("pop").and_then(JsonValue::as_i64), Some(6));
+        assert_eq!(causes.get("set_wr").and_then(JsonValue::as_i64), Some(0));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! * at any other step, the step extension itself, visited in place, then
 //!   one move per `Optimality`-approved re-ordering of the extension,
 //!   applied by [`apply_swap`]. The re-orderings are decided before the
-//!   extension's subtree is entered.
+//!   extension's subtree is entered, all of a commit's at once, by the
+//!   explorer's `CommitPass`: one descent and one ascent of the doomed
+//!   suffix (see [`crate::optimality`]).
 //!
 //! A node with moves becomes a *frame* on an explicit stack, so the depth
 //! is bounded by memory rather than by the thread stack. To visit a child,
@@ -44,7 +46,7 @@ use txdpor_program::{
 
 use crate::assertion::{AssertionCtx, AssertionFn};
 use crate::config::{ExplorationReport, ExploreConfig};
-use crate::optimality::optimality;
+use crate::optimality::CommitPass;
 use crate::ordered::OrderedHistory;
 use crate::steal::{Backoff, StealPool};
 use crate::swap::{apply_swap, compute_reorderings_and_ancestors};
@@ -493,6 +495,13 @@ struct Explorer<'a> {
     /// Engine deciding the exploration level, shared by `ValidWrites` and
     /// the `Optimality` checks of this explorer.
     checker: Box<dyn ConsistencyChecker>,
+    /// The commit-wide `Optimality` pass, whose buffers every commit
+    /// reuses.
+    commit_pass: CommitPass,
+    /// When set, `open_swaps` records here every history whose
+    /// re-orderings it decides, for tests to replay.
+    #[cfg(test)]
+    commits: Option<Vec<OrderedHistory>>,
     /// Engine deciding the output level (`explore-ce*` only), wrapped in
     /// communication-graph decomposition: complete histories that split
     /// are checked component by component, and the wrapper's counters
@@ -520,6 +529,9 @@ impl<'a> Explorer<'a> {
             seen: HashSet::new(),
             deadline: config.timeout.map(|t| Instant::now() + t),
             checker: engine_for_spec_with(&config.exploration, config.memoize),
+            commit_pass: CommitPass::default(),
+            #[cfg(test)]
+            commits: None,
             output_checker: (config.output != config.exploration)
                 .then(|| DecomposingChecker::new(&config.output, config.memoize)),
             footprints: ProgramFootprints::analyze(program),
@@ -737,15 +749,17 @@ impl<'a> Explorer<'a> {
     }
 
     /// `exploreSwaps` (Algorithm 2) after the commit that ends `h`: decides
-    /// `Optimality` for every re-ordering, in order, and pushes the frame
-    /// of the approved ones.
+    /// `Optimality` for all its re-orderings in one `CommitPass` (one
+    /// descent and one ascent of the doomed suffix, see
+    /// [`crate::optimality`]) and pushes the frame of the approved ones, in
+    /// the order `ComputeReorderings` lists them.
     fn open_swaps(&mut self, h: &mut OrderedHistory, frames: &mut Vec<Frame>) {
         if self.timed_out() {
             return;
         }
         // All re-orderings share the just-committed target: one
-        // causal-ancestors BFS serves every candidate (doomed-set
-        // computation, in-place trials and the applied swaps).
+        // causal-ancestors BFS serves every candidate (the pass's doomed
+        // suffix and the applied swaps).
         let Some((ancestors, reorderings)) = compute_reorderings_and_ancestors(
             h,
             Some(&self.footprints),
@@ -753,27 +767,22 @@ impl<'a> Explorer<'a> {
         ) else {
             return;
         };
-        let mut target = TxId::INIT;
-        let mut reads = Vec::new();
-        for reordering in reorderings {
-            if self.timed_out() {
-                break;
-            }
-            if optimality(
-                h,
-                reordering.read,
-                reordering.target,
-                &ancestors,
-                self.checker.as_mut(),
-                self.config.full_optimality,
-            ) {
-                target = reordering.target;
-                reads.push(reordering.read);
-            }
+        #[cfg(test)]
+        if let Some(commits) = self.commits.as_mut().filter(|_| !reorderings.is_empty()) {
+            commits.push(h.clone());
         }
+        let mut reads = Vec::new();
+        self.commit_pass.decide(
+            h,
+            &reorderings,
+            &ancestors,
+            self.checker.as_mut(),
+            self.config.full_optimality,
+            &mut reads,
+        );
         if !reads.is_empty() {
             let moves = Moves::Swaps {
-                target,
+                target: reorderings[0].target,
                 ancestors,
                 reads,
                 order: h.order.clone(),
@@ -1375,6 +1384,144 @@ mod tests {
                 assert_eq!(explorer.report.outputs, run(&p, config.clone()).outputs);
             }
         }
+    }
+
+    /// A session whose second transaction reads what its first wrote,
+    /// while another session writes the same variables. Under Read
+    /// Committed the reader may read from init or from its session
+    /// predecessor, so the causally latest valid writer is not the first
+    /// candidate `readLatest` tries.
+    fn read_own_session_program() -> Program {
+        program(vec![
+            session(vec![
+                tx("w1", vec![write(g("x"), cint(1))]),
+                tx("r", vec![read("a", g("x")), read("b", g("y"))]),
+            ]),
+            session(vec![tx(
+                "w2",
+                vec![write(g("y"), cint(2)), write(g("x"), cint(2))],
+            )]),
+        ])
+    }
+
+    /// The commit-wide `Optimality` pass decides exactly what the
+    /// per-re-ordering reference `optimality` decides, at every commit met
+    /// while exploring the Fig. 10, 12 and 13 programs, both session
+    /// orders of the long fork, the abort program, a read-own-session
+    /// program and small programs of four benchmark apps, under weak,
+    /// filtered and no-`Optimality` configurations. It leaves the
+    /// history, its order and its rolling hash as it found them, and its
+    /// `swapped` agrees with the reference on every read. The fixtures
+    /// must make the condition cut at least once for each reason: a
+    /// swapped read, a failed `readLatest`, an inconsistent swap.
+    #[test]
+    fn commit_pass_agrees_with_per_reordering_optimality() {
+        use crate::optimality::{optimality, read_latest, swapped};
+        use crate::swap::doomed_events_with;
+        use txdpor_apps::workload::{client_program, App, WorkloadConfig};
+        use txdpor_history::engine_for_spec;
+
+        let mut programs = vec![
+            fig10_program(),
+            fig12_program(),
+            fig13_program(),
+            long_fork_program(),
+            readers_first_long_fork(),
+            abort_program(),
+            read_own_session_program(),
+        ];
+        for app in [
+            App::Courseware,
+            App::ShoppingCart,
+            App::Twitter,
+            App::Wikipedia,
+        ] {
+            programs.push(client_program(&WorkloadConfig {
+                app,
+                sessions: 3,
+                transactions_per_session: 3,
+                seed: 1,
+            }));
+        }
+        let configs = [
+            ExploreConfig::explore_ce(IsolationLevel::CausalConsistency),
+            ExploreConfig::explore_ce_star(
+                IsolationLevel::ReadCommitted,
+                IsolationLevel::CausalConsistency,
+            ),
+            ExploreConfig::explore_ce_star(
+                IsolationLevel::ReadAtomic,
+                IsolationLevel::Serializability,
+            ),
+            ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).without_optimality(),
+        ];
+        let (mut commits, mut swapped_cuts, mut read_latest_cuts, mut inconsistent) = (0, 0, 0, 0);
+        for p in &programs {
+            for config in &configs {
+                let mut explorer = Explorer::new(p, config, None);
+                explorer.commits = Some(Vec::new());
+                let root = OrderedHistory::new(initial_history(p, &mut explorer.vars));
+                explorer.explore(root, None).unwrap();
+                // One pass for the whole run, as in the explorer: its
+                // buffers carry over from commit to commit.
+                let mut pass = CommitPass::default();
+                let mut reference = engine_for_spec(&config.exploration);
+                let mut engine = engine_for_spec(&config.exploration);
+                let full = config.full_optimality;
+                for mut h in explorer.commits.take().unwrap() {
+                    commits += 1;
+                    let (ancestors, reorderings) =
+                        compute_reorderings_and_ancestors(&h, None, &mut 0).unwrap();
+                    let mut want = Vec::new();
+                    for r in &reorderings {
+                        let ck = reference.as_mut();
+                        if optimality(&mut h, r.read, r.target, &ancestors, ck, full) {
+                            want.push(r.read);
+                        } else if !optimality(&mut h, r.read, r.target, &ancestors, ck, false) {
+                            inconsistent += 1;
+                        } else {
+                            // Cut by the full condition: by a read that
+                            // is swapped or fails `readLatest`.
+                            let doomed = doomed_events_with(&h, r.read, r.target, &ancestors);
+                            let reads: Vec<EventId> = std::iter::once(r.read)
+                                .chain(doomed.into_iter().filter(|e| h.history.wr_of(*e).is_some()))
+                                .collect();
+                            if reads.iter().any(|e| swapped(&h, *e)) {
+                                swapped_cuts += 1;
+                            }
+                            if reads.iter().any(|e| {
+                                !swapped(&h, *e)
+                                    && !read_latest(&mut h, *e, r.target, &ancestors, ck)
+                            }) {
+                                read_latest_cuts += 1;
+                            }
+                        }
+                    }
+                    for e in h.order.clone() {
+                        if h.history.wr_of(e).is_some() {
+                            assert_eq!(pass.swapped_read(&h, e), swapped(&h, e), "swapped({e})");
+                        }
+                    }
+                    let before = h.clone();
+                    let mut got = Vec::new();
+                    pass.decide(
+                        &mut h,
+                        &reorderings,
+                        &ancestors,
+                        engine.as_mut(),
+                        full,
+                        &mut got,
+                    );
+                    assert_eq!(got, want, "pass and reference disagree on\n{}", h.history);
+                    assert_eq!(h, before, "the pass did not restore the history");
+                    assert_eq!(h.history.live_hash(), before.history.live_hash());
+                }
+            }
+        }
+        assert!(commits > 50, "only {commits} commits met");
+        assert!(swapped_cuts > 0, "no re-ordering cut by a swapped read");
+        assert!(read_latest_cuts > 0, "no re-ordering cut by readLatest");
+        assert!(inconsistent > 0, "no inconsistent swap");
     }
 
     /// Handing work out is exact. A single-threaded worker whose sibling

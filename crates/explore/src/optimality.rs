@@ -10,15 +10,47 @@
 //! well as the re-ordered read itself, is not already swapped and reads
 //! from the causally latest valid write.
 //!
-//! The condition is a verdict only: every query runs on the explorer's
-//! history in place, as a trial under a checkpoint that is rolled back,
-//! and the explorer applies an accepted swap itself when it visits that
-//! child.
+//! # One pass per commit
+//!
+//! The explorer decides every re-ordering of a just-committed `t` with
+//! one `CommitPass`. For the reads of one commit, the condition's
+//! questions are asked of nested prefixes of `h`: `readLatest(r')` is
+//! decided on `h` without the doomed events at or after `r'`, and the swap
+//! of `r` is that prefix for `r` extended with `r` reading from `t`. The
+//! pass works over the commit's *pivots*: its re-ordered reads, plus,
+//! under the full condition, every deleted read at or above the lowest of
+//! them. Re-ordering `r` is approved when its swap is consistent and every
+//! pivot at or above `r` is neither swapped nor fails `readLatest`.
+//!
+//! 1. On the intact history, one pass over the order gives every
+//!    transaction's first and last position, the pivots, their writers
+//!    and their `swapped` answers.
+//! 2. The pass *descends* once: it pops the doomed suffix pivot by pivot,
+//!    opening a checkpoint before each stretch. After a pivot's stretch
+//!    is popped, the history is exactly that read's `readLatest` prefix.
+//! 3. It then *ascends*. At each pivot it appends the read once under a
+//!    trial. A re-ordered read is first checked reading from `t`: that is
+//!    the swapped history, structurally identical to the swap the
+//!    explorer applies, so it shares its memo entry. While some consistent
+//!    re-ordering at or below the pivot is still alive, the pivot's
+//!    `readLatest` is decided; a swapped pivot or a failure rejects every
+//!    alive re-ordering. The trial and the stretch are rolled back.
+//!
+//! Each doomed event is popped and restored once per commit instead of
+//! once per query, and no `readLatest` runs twice. The per-re-ordering
+//! [`optimality`], [`swapped`] and [`read_latest`] run the same queries one
+//! at a time, each on the explorer's history in place as a trial under a
+//! checkpoint that is rolled back; they are the reference the pass is
+//! tested against. Either way the condition is a verdict only: the
+//! explorer applies an accepted swap itself when it visits that child.
 
-use txdpor_history::{ConsistencyChecker, EventId, EventKind, TxId, TxSet};
+use txdpor_history::{
+    ConsistencyChecker, Event, EventId, EventKind, History, HistoryMark, SessionId, TxId, TxSet,
+    Var, WrTrial,
+};
 
 use crate::ordered::OrderedHistory;
-use crate::swap::pop_doomed;
+use crate::swap::{pop_doomed, Reordering};
 
 /// Oracle-order key of a transaction: `(session, program index)`, with the
 /// init transaction smaller than everything.
@@ -138,7 +170,13 @@ pub fn read_latest(
     // causal past of `t` when this predicate is evaluated).
     let history = &mut h.history;
     let mark = history.checkpoint();
-    pop_doomed(history, &h.order, r_pos, target, target_ancestors);
+    pop_doomed(
+        history,
+        &h.order,
+        r_pos..h.order.len(),
+        target,
+        target_ancestors,
+    );
     if !history.contains_tx(reader_tx) {
         // The reader's prefix always survives (its begin precedes r), so
         // this should not happen; be conservative if it does.
@@ -202,8 +240,8 @@ pub fn read_latest(
 /// [`ConsistencyChecker`] engine so that scratch buffers and the
 /// fingerprint memo amortise across the whole exploration. Every query
 /// runs on `h` in place under a checkpoint, and `h` is restored before
-/// returning. An accepted swap is then applied by the caller with
-/// [`apply_swap`](crate::swap::apply_swap).
+/// returning. The explorer decides a commit's re-orderings with one
+/// `CommitPass` instead; this is the reference it is tested against.
 pub fn optimality(
     h: &mut OrderedHistory,
     read: EventId,
@@ -222,7 +260,7 @@ pub fn optimality(
     pop_doomed(
         &mut h.history,
         &h.order,
-        r_pos + 1,
+        r_pos + 1..h.order.len(),
         target,
         target_ancestors,
     );
@@ -257,6 +295,340 @@ pub fn optimality(
         }
     }
     true
+}
+
+/// An unset slot of [`CommitPass`]: a transaction not met yet in the
+/// order, or the re-ordering of a pivot that is no re-ordering's read.
+const UNSET: u32 = u32::MAX;
+
+/// A read the commit-wide pass stops at: a re-ordered read, or, under the
+/// full condition, a read that some re-ordering deletes.
+#[derive(Copy, Clone, Debug)]
+struct Pivot {
+    read: EventId,
+    var: Var,
+    /// Transaction and session of the read.
+    tx: TxId,
+    session: SessionId,
+    /// Position of the read in the history order.
+    pos: u32,
+    /// Index of the re-ordering whose read this is, or [`UNSET`].
+    reordering: u32,
+    /// The transaction the read reads from in the intact history.
+    writer: TxId,
+    /// `swapped(h, read)` on the intact history.
+    swapped: bool,
+}
+
+/// The commit-wide `Optimality` pass (see the module documentation). The
+/// explorer owns one and reuses its buffers from commit to commit.
+#[derive(Debug, Default)]
+pub(crate) struct CommitPass {
+    /// `TxId.0 ↦` first and last position of the transaction in the
+    /// history order.
+    spans: Vec<(u32, u32)>,
+    /// `(position of the read, index)` of every re-ordering, sorted.
+    by_pos: Vec<(u32, u32)>,
+    /// The pivots, in history order.
+    pivots: Vec<Pivot>,
+    /// One checkpoint per popped stretch; the lowest pivot's is on top.
+    marks: Vec<HistoryMark>,
+    /// Indices of the re-orderings whose swap is consistent and that no
+    /// pivot has rejected yet.
+    alive: Vec<u32>,
+    /// Candidate writers of the `readLatest` being decided.
+    candidates: Vec<TxId>,
+    /// `TxId.0 ↦` stamp of the last `swapped` scan that reached the
+    /// transaction from the read's writer.
+    reached: Vec<u32>,
+    stamp: u32,
+}
+
+impl CommitPass {
+    /// Decides `Optimality(h, r, t)` for every re-ordering `(r, t)` of
+    /// `reorderings`, which all share the just-committed `t` whose causal
+    /// ancestors are `ancestors`, and pushes the reads of the approved
+    /// ones onto `approved` in the order of `reorderings`. The verdicts
+    /// equal [`optimality`]'s; `h` is restored before returning.
+    pub(crate) fn decide(
+        &mut self,
+        h: &mut OrderedHistory,
+        reorderings: &[Reordering],
+        ancestors: &TxSet,
+        checker: &mut dyn ConsistencyChecker,
+        full_condition: bool,
+        approved: &mut Vec<EventId>,
+    ) {
+        let Some(target) = reorderings.first().map(|r| r.target) else {
+            return;
+        };
+        debug_assert!(reorderings.iter().all(|r| r.target == target));
+        self.collect_pivots(h, reorderings, target, ancestors, full_condition);
+        if full_condition {
+            for k in 0..self.pivots.len() {
+                let p = self.pivots[k];
+                self.pivots[k].swapped = self.swapped(h, p.read, p.tx);
+            }
+        }
+
+        // Descent: pop the doomed suffix stretch by stretch, from the top.
+        let mut end = h.order.len();
+        for p in self.pivots.iter().rev() {
+            let pos = p.pos as usize;
+            self.marks.push(h.history.checkpoint());
+            pop_doomed(&mut h.history, &h.order, pos..end, target, ancestors);
+            end = pos;
+        }
+
+        // Ascent: each pivot's read is appended once, under a trial.
+        let history = &mut h.history;
+        self.alive.clear();
+        for k in 0..self.pivots.len() {
+            let p = self.pivots[k];
+            let trial_mark = history.checkpoint();
+            history.append_event(p.session, Event::new(p.read, EventKind::Read(p.var)));
+            let trial = history.prepare_wr_trial(p.read);
+            if p.reordering != UNSET {
+                history.set_wr_trial(&trial, target);
+                if checker.check(history) {
+                    self.alive.push(p.reordering);
+                }
+                history.unset_wr_trial(&trial);
+            }
+            if full_condition
+                && !self.alive.is_empty()
+                && (p.swapped || !self.read_latest(history, &p, &trial, checker))
+            {
+                self.alive.clear();
+            }
+            history.rollback(trial_mark);
+            history.rollback(self.marks.pop().expect("one mark per pivot"));
+        }
+        // `alive` grew in history order; report in the caller's order.
+        self.alive.sort_unstable();
+        approved.extend(self.alive.iter().map(|&i| reorderings[i as usize].read));
+    }
+
+    /// One pass over the order of `h`: the first and last position of
+    /// every transaction.
+    fn index_spans(&mut self, h: &OrderedHistory) {
+        self.spans.clear();
+        self.spans
+            .resize(h.history.max_tx_id() as usize + 1, (UNSET, UNSET));
+        for (pos, &e) in h.order.iter().enumerate() {
+            let tx = h.history.tx_of_event(e).expect("ordered event is live");
+            let span = &mut self.spans[tx.0 as usize];
+            if span.0 == UNSET {
+                span.0 = pos as u32;
+            }
+            span.1 = pos as u32;
+        }
+    }
+
+    /// Reads the intact `h`: the position spans, then the pivots with
+    /// their writers, from the lowest re-ordered read up.
+    fn collect_pivots(
+        &mut self,
+        h: &OrderedHistory,
+        reorderings: &[Reordering],
+        target: TxId,
+        ancestors: &TxSet,
+        full_condition: bool,
+    ) {
+        self.index_spans(h);
+        let history = &h.history;
+        // A transaction's events are a contiguous block of the order, so
+        // a read's position is its transaction's first plus its po index.
+        self.by_pos.clear();
+        self.by_pos
+            .extend(reorderings.iter().enumerate().map(|(i, r)| {
+                let tx = history
+                    .tx_of_event(r.read)
+                    .expect("re-ordered read is live");
+                let po = history.tx(tx).po_position(r.read).expect("read in its log");
+                let pos = self.spans[tx.0 as usize].0 + po as u32;
+                debug_assert_eq!(h.order[pos as usize], r.read, "transaction block broken");
+                (pos, i as u32)
+            }));
+        self.by_pos.sort_unstable();
+        self.pivots.clear();
+        let mut next = self.by_pos.iter().peekable();
+        let lowest = self.by_pos[0].0 as usize;
+        for (pos, &e) in h.order.iter().enumerate().skip(lowest) {
+            let reordering = match next.next_if(|(p, _)| *p as usize == pos) {
+                Some(&(_, i)) => i,
+                None => UNSET,
+            };
+            let Some(writer) = history.wr_of(e) else {
+                continue;
+            };
+            let tx = history.tx_of_event(e).expect("ordered event is live");
+            // Every read of a doomed transaction above the lowest
+            // re-ordered read is deleted by some re-ordering.
+            let deleted = full_condition && tx != target && !ancestors.contains(tx);
+            if reordering == UNSET && !deleted {
+                continue;
+            }
+            let var = match history.event(e).map(|ev| &ev.kind) {
+                Some(EventKind::Read(x)) => *x,
+                _ => unreachable!("only reads have a writer"),
+            };
+            self.pivots.push(Pivot {
+                read: e,
+                var,
+                tx,
+                session: history.tx(tx).session,
+                pos: pos as u32,
+                reordering,
+                writer,
+                swapped: false,
+            });
+        }
+        debug_assert!(next.next().is_none(), "a re-ordered read has no writer");
+    }
+
+    /// [`swapped`] on `h`, computed the pass's way.
+    #[cfg(test)]
+    pub(crate) fn swapped_read(&mut self, h: &OrderedHistory, read: EventId) -> bool {
+        self.index_spans(h);
+        let tx = h.history.tx_of_event(read).expect("read is live");
+        self.swapped(h, read, tx)
+    }
+
+    /// Position of the last event of `t`; `-1` for init, which precedes
+    /// every event.
+    fn last_pos(&self, t: TxId) -> i64 {
+        if t.is_init() {
+            -1
+        } else {
+            self.spans[t.0 as usize].1 as i64
+        }
+    }
+
+    /// [`swapped`] on the intact `h`, from the position table: the read is
+    /// the po-first read of its transaction `tx` that satisfies conditions
+    /// (1)–(3).
+    fn swapped(&mut self, h: &OrderedHistory, read: EventId, tx: TxId) -> bool {
+        let first = self.spans[tx.0 as usize].0 as usize;
+        for (po, ev) in h.history.tx(tx).events.iter().enumerate() {
+            debug_assert_eq!(h.order[first + po], ev.id, "transaction block broken");
+            if ev.id == read {
+                return self.swapped_pivot(h, read, tx, first + po);
+            }
+            if ev.kind.is_read() && self.swapped_pivot(h, ev.id, tx, first + po) {
+                return false;
+            }
+        }
+        unreachable!("the read belongs to its transaction")
+    }
+
+    /// Conditions (1)–(3) of [`swapped`] for `read`, of transaction
+    /// `reader` at position `pos`, on the intact `h`.
+    fn swapped_pivot(
+        &mut self,
+        h: &OrderedHistory,
+        read: EventId,
+        reader: TxId,
+        pos: usize,
+    ) -> bool {
+        let history = &h.history;
+        let Some(writer) = history.wr_of(read) else {
+            return false;
+        };
+        // Condition (1): the writer precedes `r` in the history order and
+        // follows it in the oracle order (init precedes everything).
+        if writer.is_init()
+            || self.last_pos(writer) >= pos as i64
+            || oracle_key(h, writer) <= oracle_key(h, reader)
+        {
+            return false;
+        }
+        // Condition (3): no po-earlier read of the transaction reads from
+        // the writer.
+        let log = history.tx(reader);
+        let before_read = log.events.iter().take_while(|ev| ev.id != read);
+        if before_read
+            .filter(|ev| ev.kind.is_read())
+            .any(|ev| history.wr_of(ev.id) == Some(writer))
+        {
+            return false;
+        }
+        // Condition (2): no causal descendant of the writer that precedes
+        // `tr(r)` in the oracle order starts before `r`. The order is
+        // consistent with so ∪ wr and every transaction is a contiguous
+        // block, so those descendants are found by one forward scan from
+        // the writer's block to `r`, marking a transaction reached when
+        // its session predecessor or one of its writers is.
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.reached.clear();
+            self.stamp = 1;
+        }
+        self.reached.resize(self.spans.len(), 0);
+        let stamp = self.stamp;
+        self.reached[writer.0 as usize] = stamp;
+        let reader_key = oracle_key(h, reader);
+        for (p, &e) in h
+            .order
+            .iter()
+            .enumerate()
+            .take(pos)
+            .skip(self.last_pos(writer) as usize + 1)
+        {
+            let u = history.tx_of_event(e).expect("ordered event is live");
+            if self.reached[u.0 as usize] == stamp {
+                continue;
+            }
+            let reached = if p == self.spans[u.0 as usize].0 as usize {
+                let log = history.tx(u);
+                let sidx = history.tx_session_index(u).expect("live transaction");
+                sidx > 0
+                    && self.reached[history.session_txs(log.session)[sidx - 1].0 as usize] == stamp
+            } else {
+                false
+            } || history
+                .wr_of(e)
+                .is_some_and(|w| self.reached[w.0 as usize] == stamp);
+            if reached {
+                if oracle_key(h, u) < reader_key {
+                    return false;
+                }
+                self.reached[u.0 as usize] = stamp;
+            }
+        }
+        true
+    }
+
+    /// `readLatest(h, r, t)` for pivot `p`: `history` is `h` without the
+    /// doomed events at or after `r`, extended with `r` reading from
+    /// nothing (`trial` is its handle). Every candidate writer is tried as
+    /// in [`read_latest`], and the latest valid one is compared, by its
+    /// last position in the intact order, with the writer `r` reads from
+    /// in `h`.
+    fn read_latest(
+        &mut self,
+        history: &mut History,
+        p: &Pivot,
+        trial: &WrTrial,
+        checker: &mut dyn ConsistencyChecker,
+    ) -> bool {
+        let reader_ancestors = history.causal_ancestors(p.tx);
+        self.candidates.clear();
+        self.candidates.push(TxId::INIT);
+        self.candidates.extend(history.tx_ids().filter(|&t| {
+            (t == p.tx || reader_ancestors.contains(t)) && history.writes_var(t, p.var)
+        }));
+        let mut latest: Option<TxId> = None;
+        for &t in &self.candidates {
+            history.set_wr_trial(trial, t);
+            let consistent = checker.check(history);
+            history.unset_wr_trial(trial);
+            if consistent && latest.map_or(true, |l| self.last_pos(t) > self.last_pos(l)) {
+                latest = Some(t);
+            }
+        }
+        latest == Some(p.writer)
+    }
 }
 
 #[cfg(test)]
@@ -460,6 +832,57 @@ mod tests {
         assert!(!optimality(&mut h1, r1, t4, &anc, ck.as_mut(), true));
         // Without the swapped-check ablation it would be allowed.
         assert!(optimality(&mut h1, r1, t4, &anc, ck.as_mut(), false));
+    }
+
+    /// The pass's `swapped`, which finds the writer's causal descendants
+    /// by one scan of the order, agrees with the reference on the two
+    /// shapes explorations rarely build: a descendant reached through a
+    /// session successor of the writer, and a transaction with two reads
+    /// that satisfy conditions (1)–(3).
+    #[test]
+    fn pass_swapped_agrees_on_session_chains_and_second_pivots() {
+        let (x, y) = (Var(0), Var(1));
+        // w (session 2) writes x, its session successor t1 writes y, t2
+        // (session 0, oracle-before the reader) reads y from t1, and the
+        // reader (session 1) reads x from w: w reaches t2 through so then
+        // wr, so the read is not swapped (condition (2)).
+        let mut b = Builder::new();
+        let w = b.begin(2);
+        b.write(2, x, 1);
+        b.commit(2);
+        let t1 = b.begin(2);
+        b.write(2, y, 1);
+        b.commit(2);
+        b.begin(0);
+        b.read(0, y, t1);
+        b.commit(0);
+        b.begin(1);
+        let r = b.read(1, x, w);
+        b.commit(1);
+        let h = b.done();
+        h.check_invariants().unwrap();
+        let mut pass = CommitPass::default();
+        assert!(!swapped(&h, r));
+        assert!(!pass.swapped_read(&h, r));
+
+        // A reader (session 1) of x from w1 (session 2) and of y from w2
+        // (session 3): both reads satisfy (1)–(3), only the first is
+        // swapped (condition (4)).
+        let mut b = Builder::new();
+        let w1 = b.begin(2);
+        b.write(2, x, 1);
+        b.commit(2);
+        let w2 = b.begin(3);
+        b.write(3, y, 1);
+        b.commit(3);
+        b.begin(1);
+        let rx = b.read(1, x, w1);
+        let ry = b.read(1, y, w2);
+        b.commit(1);
+        let h = b.done();
+        h.check_invariants().unwrap();
+        assert!(swapped(&h, rx) && pass.swapped_read(&h, rx));
+        assert!(!swapped(&h, ry) && !pass.swapped_read(&h, ry));
     }
 
     #[test]

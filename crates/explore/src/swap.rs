@@ -15,6 +15,7 @@
 //! in-place version is tested against.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use txdpor_analysis::ProgramFootprints;
 use txdpor_history::{EventId, EventKind, History, TxId, TxSet};
@@ -140,25 +141,29 @@ pub fn doomed_events_with(
         .collect()
 }
 
-/// Deletes the doomed events *in place* under the caller's checkpoint:
-/// every event at position `≥ from` of the order whose transaction is
-/// outside the causal past of `target` is popped (in reverse order, so
-/// each is the po-last of its session when reached), and transactions
-/// reduced to their begin are retracted outright. Because the doomed
-/// events of a session always form a suffix of its event sequence (doomed
-/// transactions form a suffix of the session, and a straddling
-/// transaction's kept events precede `from`), the result is structurally
-/// identical to [`History::remove_events`] on the doomed set — same
-/// logs, same wr relation, same rolling hash — without building a second
-/// history. The caller's [`History::rollback`] restores everything.
+/// Deletes the doomed events at the positions `range` of the order *in
+/// place*, under the caller's checkpoint: every event there whose
+/// transaction is outside the causal past of `target` is popped (in
+/// reverse order, so each is the po-last of its session when reached),
+/// and transactions reduced to their begin are retracted outright. Because
+/// the doomed events of a session always form a suffix of its event
+/// sequence (doomed transactions form a suffix of the session, and a
+/// straddling transaction's kept events precede the cut), popping the
+/// range up to the end of the order leaves a history structurally
+/// identical to [`History::remove_events`] on the doomed set — same logs,
+/// same wr relation, same rolling hash — without building a second
+/// history. Adjacent ranges popped from the top down compose: popping
+/// `b..len` and then `a..b` is popping `a..len`, which is how the
+/// commit-wide `Optimality` pass descends a doomed suffix one stretch at a
+/// time. The caller's [`History::rollback`] restores everything.
 pub(crate) fn pop_doomed(
     history: &mut History,
     order: &[EventId],
-    from: usize,
+    range: Range<usize>,
     target: TxId,
     ancestors: &TxSet,
 ) {
-    for p in (from..order.len()).rev() {
+    for p in range.rev() {
         let e = order[p];
         let tx = history.tx_of_event(e).expect("ordered event is live");
         if tx == target || ancestors.contains(tx) {
@@ -186,7 +191,13 @@ pub(crate) fn pop_doomed(
 /// undoes it. `ancestors` are the causal ancestors of `target`.
 pub fn apply_swap(h: &mut OrderedHistory, read: EventId, target: TxId, ancestors: &TxSet) {
     let r_pos = h.pos(read).expect("read is ordered");
-    pop_doomed(&mut h.history, &h.order, r_pos + 1, target, ancestors);
+    pop_doomed(
+        &mut h.history,
+        &h.order,
+        r_pos + 1..h.order.len(),
+        target,
+        ancestors,
+    );
     h.history.set_wr(read, target);
     let read_tx = h
         .history

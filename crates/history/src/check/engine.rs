@@ -47,7 +47,10 @@
 //! rebuild. Every memo miss counts once: in
 //! [`EngineStats::full_rebuilds`] if an index synced for it rebuilt, in
 //! [`EngineStats::incremental_hits`] otherwise (an unchanged history
-//! included), so the two add up to [`EngineStats::memo_misses`];
+//! included), so the two add up to [`EngineStats::memo_misses`]. Each
+//! rebuild is also counted under its cause in
+//! [`EngineStats::rebuild_causes`] — the first index that rebuilt decides
+//! it — so the causes add up to the rebuilds;
 //! [`EngineStats::check_nanos`] is the time spent deciding misses.
 //!
 //! # Incrementality contract
@@ -78,7 +81,7 @@ use std::time::Instant;
 use crate::check::evidence::{self, Verdict, Witness};
 use crate::check::mixed;
 use crate::check::shared::SharedMemo;
-use crate::history::History;
+use crate::history::{History, HistoryDelta};
 use crate::isolation::{IsolationLevel, LevelSpec};
 
 /// Maximum number of slots of an engine's direct-mapped result memo
@@ -119,6 +122,10 @@ pub struct EngineStats {
     /// scratch. `incremental_hits + full_rebuilds = memo_misses` for
     /// [`Engine`].
     pub full_rebuilds: u64,
+    /// `full_rebuilds`, split by why the first index that rebuilt for the
+    /// miss could not sync incrementally; the causes sum to
+    /// `full_rebuilds`.
+    pub rebuild_causes: RebuildCauses,
     /// Memo hits served by the cross-worker [`SharedMemo`] (a subset of
     /// `memo_hits`): verdicts another worker published first. Zero for
     /// serial runs and engines without an attached shared memo.
@@ -149,12 +156,91 @@ impl EngineStats {
         self.memo_slots += other.memo_slots;
         self.incremental_hits += other.incremental_hits;
         self.full_rebuilds += other.full_rebuilds;
+        self.rebuild_causes.absorb(&other.rebuild_causes);
         self.shared_memo_hits += other.shared_memo_hits;
         // Summing per-thread nanoseconds yields aggregate CPU time (see
         // the field documentation) — callers wanting wall time must time
         // the run itself.
         self.check_nanos += other.check_nanos;
     }
+}
+
+/// Why an index synced for a memo miss rebuilt from scratch, counted once
+/// per [`EngineStats::full_rebuilds`]: the first sync (or a history with
+/// another [`History::uid`]), a sync generation trimmed out of the delta
+/// window, or the kind of the first [`HistoryDelta`] the index could not
+/// replay. Causes are recorded only on a rebuild, so the incremental path
+/// pays nothing for them.
+///
+/// [`HistoryDelta`]: crate::history::HistoryDelta
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct RebuildCauses {
+    /// The index's first sync, or a history with another uid.
+    pub first_sync: u64,
+    /// The index's sync generation was no longer in the delta window.
+    pub window: u64,
+    /// A `Begin` delta the index could not replay.
+    pub begin: u64,
+    /// An `UndoBegin` delta the index could not replay.
+    pub undo_begin: u64,
+    /// An `Append` delta the index could not replay.
+    pub append: u64,
+    /// A `Pop` delta the index could not replay.
+    pub pop: u64,
+    /// A `SetWr` delta the index could not replay.
+    pub set_wr: u64,
+    /// An `UnsetWr` delta the index could not replay.
+    pub unset_wr: u64,
+}
+
+impl RebuildCauses {
+    /// Counts one rebuild of the given cause.
+    pub(crate) fn record(&mut self, cause: RebuildCause) {
+        *match cause {
+            RebuildCause::FirstSync => &mut self.first_sync,
+            RebuildCause::Window => &mut self.window,
+            RebuildCause::Delta(HistoryDelta::Begin { .. }) => &mut self.begin,
+            RebuildCause::Delta(HistoryDelta::UndoBegin { .. }) => &mut self.undo_begin,
+            RebuildCause::Delta(HistoryDelta::Append { .. }) => &mut self.append,
+            RebuildCause::Delta(HistoryDelta::Pop { .. }) => &mut self.pop,
+            RebuildCause::Delta(HistoryDelta::SetWr { .. }) => &mut self.set_wr,
+            RebuildCause::Delta(HistoryDelta::UnsetWr { .. }) => &mut self.unset_wr,
+        } += 1;
+    }
+
+    /// The number of rebuilds counted, over all causes.
+    pub fn total(&self) -> u64 {
+        self.first_sync
+            + self.window
+            + self.begin
+            + self.undo_begin
+            + self.append
+            + self.pop
+            + self.set_wr
+            + self.unset_wr
+    }
+
+    fn absorb(&mut self, other: &RebuildCauses) {
+        self.first_sync += other.first_sync;
+        self.window += other.window;
+        self.begin += other.begin;
+        self.undo_begin += other.undo_begin;
+        self.append += other.append;
+        self.pop += other.pop;
+        self.set_wr += other.set_wr;
+        self.unset_wr += other.unset_wr;
+    }
+}
+
+/// Why one index rebuilt (see [`RebuildCauses`]).
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum RebuildCause {
+    /// First sync, or a history with another uid.
+    FirstSync,
+    /// The sync generation left the delta window.
+    Window,
+    /// The first delta the index could not replay.
+    Delta(HistoryDelta),
 }
 
 /// A stateful decision procedure for `h ∈ I` at a fixed level
@@ -460,10 +546,12 @@ impl ConsistencyChecker for Engine {
                 let (v, rebuilt) = self.decider.decide(h);
                 self.memo.insert(key, v);
                 let stats = &mut self.memo.stats;
-                if rebuilt {
-                    stats.full_rebuilds += 1;
-                } else {
-                    stats.incremental_hits += 1;
+                match rebuilt {
+                    Some(cause) => {
+                        stats.full_rebuilds += 1;
+                        stats.rebuild_causes.record(cause);
+                    }
+                    None => stats.incremental_hits += 1,
                 }
                 stats.check_nanos += start.elapsed().as_nanos() as u64;
                 v

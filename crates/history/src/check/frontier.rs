@@ -13,6 +13,7 @@
 //! *search* itself still runs per check — only the index construction is
 //! amortised.
 
+use crate::check::engine::RebuildCause;
 use crate::history::{DeltaEventInfo, History, HistoryDelta};
 use crate::transaction::TxId;
 use crate::value::Var;
@@ -76,32 +77,28 @@ impl FrontierIndex {
     }
 
     /// Brings the index in sync with `h`, replaying recorded deltas when
-    /// possible and rebuilding otherwise. Returns whether it rebuilt.
-    pub(crate) fn sync(&mut self, h: &History) -> bool {
-        if self.synced && self.uid == h.uid() {
+    /// possible and rebuilding otherwise. Returns why it rebuilt, or
+    /// `None` when it did not.
+    pub(crate) fn sync(&mut self, h: &History) -> Option<RebuildCause> {
+        let cause = if self.synced && self.uid == h.uid() {
             if self.gen == h.generation() {
-                return false;
+                return None;
             }
-            let replayed = match h.deltas_since(self.gen) {
-                None => false,
-                Some(deltas) => {
-                    let mut ok = true;
-                    for d in deltas {
-                        if !self.apply(d) {
-                            ok = false;
-                            break;
-                        }
+            match h.deltas_since(self.gen) {
+                None => RebuildCause::Window,
+                Some(mut deltas) => match deltas.find(|d| !self.apply(d)) {
+                    None => {
+                        self.gen = h.generation();
+                        return None;
                     }
-                    ok
-                }
-            };
-            if replayed {
-                self.gen = h.generation();
-                return false;
+                    Some(d) => RebuildCause::Delta(*d),
+                },
             }
-        }
+        } else {
+            RebuildCause::FirstSync
+        };
         self.rebuild(h);
-        true
+        Some(cause)
     }
 
     fn rebuild(&mut self, h: &History) {

@@ -49,6 +49,7 @@
 //! the future, so they are not tracked). The search records the commit
 //! order as it goes, so a successful decision leaves its witness behind.
 
+use crate::check::engine::RebuildCause;
 use crate::check::failed::{self, FailedStates};
 use crate::check::frontier::FrontierIndex;
 use crate::check::weak::WeakIndex;
@@ -123,32 +124,36 @@ impl Decider {
         }
     }
 
-    /// Whether `h` satisfies the spec, and whether deciding it rebuilt an
-    /// index from scratch (`false` when every sync replayed deltas or `h`
-    /// is the history decided last). The deciding pass leaves its commit
-    /// order behind for [`witness`](Self::witness).
-    pub(crate) fn decide(&mut self, h: &History) -> (bool, bool) {
+    /// Whether `h` satisfies the spec, and why deciding it rebuilt an
+    /// index from scratch: the cause of the first index that rebuilt, or
+    /// `None` when every sync replayed deltas or `h` is the history decided
+    /// last. The deciding pass leaves its commit order behind for
+    /// [`witness`](Self::witness).
+    pub(crate) fn decide(&mut self, h: &History) -> (bool, Option<RebuildCause>) {
         if let Some((uid, gen, v)) = self.last {
             if uid == h.uid() && gen == h.generation() {
-                return (v, false);
+                return (v, None);
             }
         }
         let (v, rebuilt) = match self.procedure {
-            Procedure::Trivial => (true, false),
+            Procedure::Trivial => (true, None),
             Procedure::Weak => {
                 let rebuilt = self.weak.sync(h);
                 (self.weak.decide(), rebuilt)
             }
             Procedure::Search { weak_readers } => {
-                let mut rebuilt = false;
+                let mut rebuilt = None;
                 if weak_readers {
                     rebuilt = self.weak.sync(h);
                     self.weak.collect_forced_tx(&mut self.search.forced);
                 } else {
                     self.search.forced.clear();
                 }
-                rebuilt |= self.frontier.sync(h);
-                (self.search.decide(&self.spec, &self.frontier), rebuilt)
+                let frontier = self.frontier.sync(h);
+                (
+                    self.search.decide(&self.spec, &self.frontier),
+                    rebuilt.or(frontier),
+                )
             }
         };
         self.last = Some((h.uid(), h.generation(), v));

@@ -42,7 +42,7 @@ use crate::isolation::{IsolationLevel, LevelSpec};
 
 pub use engine::{
     engine_for, engine_for_spec, engine_for_spec_with, engine_for_with, ConsistencyChecker, Engine,
-    EngineStats,
+    EngineStats, RebuildCauses,
 };
 pub use evidence::{AxiomInstance, EdgeReason, Verdict, Violation, ViolationEdge, Witness};
 pub use mixed::satisfies_spec;

@@ -37,6 +37,7 @@
 //!
 //! [`Engine`]: crate::check::engine::Engine
 
+use crate::check::engine::RebuildCause;
 use crate::history::{DeltaEventInfo, History, HistoryDelta};
 use crate::isolation::{IsolationLevel, LevelSpec};
 use crate::relations::{BitMatrix, Digraph};
@@ -206,32 +207,27 @@ impl WeakIndex {
 
     /// Brings the index in sync with `h`, replaying the recorded mutation
     /// deltas when possible and rebuilding from scratch otherwise. Returns
-    /// whether it rebuilt.
-    pub(crate) fn sync(&mut self, h: &History) -> bool {
-        if self.synced && self.uid == h.uid() {
+    /// why it rebuilt, or `None` when it did not.
+    pub(crate) fn sync(&mut self, h: &History) -> Option<RebuildCause> {
+        let cause = if self.synced && self.uid == h.uid() {
             if self.gen == h.generation() {
-                return false;
+                return None;
             }
-            let replayed = match h.deltas_since(self.gen) {
-                None => false,
-                Some(deltas) => {
-                    let mut ok = true;
-                    for d in deltas {
-                        if !self.apply(d) {
-                            ok = false;
-                            break;
-                        }
+            match h.deltas_since(self.gen) {
+                None => RebuildCause::Window,
+                Some(mut deltas) => match deltas.find(|d| !self.apply(d)) {
+                    None => {
+                        self.gen = h.generation();
+                        return None;
                     }
-                    ok
-                }
-            };
-            if replayed {
-                self.gen = h.generation();
-                return false;
+                    Some(d) => RebuildCause::Delta(*d),
+                },
             }
-        }
+        } else {
+            RebuildCause::FirstSync
+        };
         self.rebuild(h);
-        true
+        Some(cause)
     }
 
     /// Decides the synced history's weak readers alone: collects the forced
@@ -1161,6 +1157,32 @@ mod tests {
         assert!(engine.check(&h));
         let stats = engine.stats();
         assert_eq!(stats.full_rebuilds, 1, "candidate loop forced a rebuild");
+        assert_eq!(stats.rebuild_causes.first_sync, 1);
         assert_eq!(stats.incremental_hits, 7);
+    }
+
+    /// A rebuild is counted under the first delta the index could not
+    /// replay: here the `Pop` of an event older than the index's last
+    /// rebuild, met with a newer `Append` on top of its undo stack.
+    #[test]
+    fn rebuild_is_blamed_on_the_unreplayable_delta() {
+        let x = Var(0);
+        let mut b = Builder::new();
+        b.begin(0);
+        b.write(0, x, 1);
+        b.begin(1);
+        let mut h = b.h;
+        let mut engine = Engine::new(LevelSpec::uniform(IsolationLevel::CausalConsistency), false);
+        engine.check(&h);
+        h.append_event(
+            SessionId(1),
+            Event::new(EventId(100), EventKind::Write(x, Value::Int(2))),
+        );
+        h.pop_event(SessionId(0));
+        engine.check(&h);
+        let stats = engine.stats();
+        assert_eq!(stats.full_rebuilds, 2);
+        let causes = stats.rebuild_causes;
+        assert_eq!((causes.first_sync, causes.pop, causes.total()), (1, 1, 2));
     }
 }
