@@ -1,7 +1,9 @@
 //! Bench-regression gate: re-runs the deterministic courseware rows of
 //! Fig. 14 and fails (exit 1) if any count (`histories`, `end_states`,
 //! `explore_calls`) or `levels` spec label differs from the committed
-//! `BENCH_fig14.json`.
+//! `BENCH_fig14.json`, or if any re-run row breaks an engine or explorer
+//! invariant (memo misses counted once, one cause per rebuild, no clones
+//! on serial rows — see [`txdpor_bench::gate::invariant_failures`]).
 //!
 //! The exploration counts are pure functions of the algorithm and the
 //! (seeded) benchmark program, so they are machine-independent — unlike

@@ -12,7 +12,9 @@
 //! * malformed baseline rows (missing fields) are skipped with a notice
 //!   instead of panicking at the first absent key;
 //! * a fresh run may not time out more often than the baseline did on the
-//!   gated sub-suite.
+//!   gated sub-suite;
+//! * every re-run row must keep the engine and explorer invariants (see
+//!   [`invariant_failures`]), whatever the baseline says.
 
 use crate::harness::{Algorithm, Measurement};
 use crate::json::JsonValue;
@@ -264,6 +266,10 @@ pub fn compare(
         }
     }
 
+    for m in measured {
+        report.failures.extend(invariant_failures(m));
+    }
+
     // Rows the re-run produced that the baseline does not know: new
     // configurations (e.g. freshly added mixed scenarios) — non-fatal.
     for m in measured {
@@ -298,6 +304,42 @@ pub fn compare(
         ));
     }
     report
+}
+
+/// The invariants every measured row keeps, one message per broken one:
+/// each memo miss is counted once, as an incremental sync or as a full
+/// rebuild; each full rebuild is counted under exactly one cause; and a
+/// serial exploration, which runs in place on one history, clones none
+/// (the parallel `CC parN` rows clone to hand nodes to workers).
+pub fn invariant_failures(m: &Measurement) -> Vec<String> {
+    let e = &m.engine;
+    let mut failures = Vec::new();
+    if e.incremental_hits + e.full_rebuilds != e.memo_misses {
+        failures.push(format!(
+            "{}/{}: incremental_hits {} + full_rebuilds {} != memo_misses {}",
+            m.benchmark, m.algorithm, e.incremental_hits, e.full_rebuilds, e.memo_misses
+        ));
+    }
+    if e.rebuild_causes.total() != e.full_rebuilds {
+        failures.push(format!(
+            "{}/{}: rebuild causes sum to {}, full_rebuilds = {}",
+            m.benchmark,
+            m.algorithm,
+            e.rebuild_causes.total(),
+            e.full_rebuilds
+        ));
+    }
+    let parallel = matches!(
+        algorithm_for_label(&m.algorithm),
+        Some(Algorithm::ExploreCeParallel(..))
+    );
+    if !parallel && m.history_clones != 0 {
+        failures.push(format!(
+            "{}/{}: a serial row cloned {} histories",
+            m.benchmark, m.algorithm, m.history_clones
+        ));
+    }
+    failures
 }
 
 #[cfg(test)]
@@ -538,6 +580,47 @@ mod tests {
             notices[0].contains("lacks a gated field")
                 || notices[1].contains("lacks a gated field")
         );
+    }
+
+    #[test]
+    fn miscounted_memo_misses_fail() {
+        let mut m = measurement("courseware-1", "CC", (30, 30, 401));
+        m.engine.memo_misses = 10;
+        m.engine.incremental_hits = 7;
+        m.engine.full_rebuilds = 2;
+        m.engine.rebuild_causes.first_sync = 2;
+        let report = compare(&[], &[m.clone()], 60);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("memo_misses"));
+        m.engine.incremental_hits = 8;
+        assert!(invariant_failures(&m).is_empty());
+    }
+
+    #[test]
+    fn rebuilds_without_one_cause_each_fail() {
+        let mut m = measurement("courseware-1", "CC", (30, 30, 401));
+        m.engine.memo_misses = 3;
+        m.engine.full_rebuilds = 3;
+        m.engine.rebuild_causes.first_sync = 1;
+        m.engine.rebuild_causes.pop = 1;
+        let report = compare(&[], &[m.clone()], 60);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("rebuild causes"));
+        m.engine.rebuild_causes.undo_begin = 1;
+        assert!(invariant_failures(&m).is_empty());
+    }
+
+    #[test]
+    fn serial_rows_that_clone_fail_and_parallel_rows_are_exempt() {
+        let mut serial = measurement("courseware-1", "CC", (30, 30, 401));
+        serial.history_clones = 4;
+        let report = compare(&[], &[serial], 60);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("serial row cloned 4"));
+        let mut parallel = measurement("courseware-1", "CC par2", (30, 30, 401));
+        parallel.history_clones = 4;
+        parallel.workers = 2;
+        assert!(invariant_failures(&parallel).is_empty());
     }
 
     #[test]

@@ -288,7 +288,7 @@ pub trait ConsistencyChecker: Send {
     /// [`stats`](ConsistencyChecker::stats)). A consistent verdict carries
     /// the witness of the pass that decided it: the commit order the
     /// search recorded, or the order in which the acyclicity test of
-    /// `so ∪ wr ∪ forced` visited the transactions; a verdict served by
+    /// `so ∪ wr ∪ forced` peeled the transactions; a verdict served by
     /// the memo re-decides the history once on the engine's own indexes to
     /// get it. An inconsistent verdict's violation core is reconstructed on
     /// demand over fresh indexes ([`crate::check::evidence`]), so the

@@ -13,8 +13,9 @@
 //!   Witnesses come from the pass that decided the verdict: the commit
 //!   order the commit-order search recorded as it decided, or — for specs
 //!   without strong levels — the order in which the acyclicity test of
-//!   `so ∪ wr ∪ forced` visited the transactions. Nothing is re-derived on
-//!   fresh indexes.
+//!   `so ∪ wr ∪ forced` peeled the transactions (sweeps in vertex order,
+//!   each removing the transactions with no unpeeled predecessor left).
+//!   Nothing is re-derived on fresh indexes.
 //! * On failure, a [`Violation`]: a cycle of `so`/`wr`/forced-`co` edges,
 //!   each forced edge annotated with the [`AxiomInstance`] that forced it.
 //!   The cycle is *simple* (every vertex is entered and left exactly once),

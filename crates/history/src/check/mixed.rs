@@ -35,7 +35,8 @@
 //!   `wr ⊆ co` and their forced edges.
 //!
 //! When the spec assigns no strong level the search degenerates to plain
-//! acyclicity of `so ∪ wr ∪ forced` (Kahn), and uniformly `true` accepts
+//! acyclicity of `so ∪ wr ∪ forced`, decided by peeling its bit rows
+//! (`WeakIndex`), and uniformly `true` accepts
 //! every history. Which of the three procedures a spec needs is settled
 //! once, when its `Decider` is built, so deciding a history inspects no
 //! spec.
@@ -162,9 +163,11 @@ impl Decider {
 
     /// A commit order witnessing that `h` satisfies the spec, init first,
     /// or `None` when it does not: the order of the pass that decided `h`
-    /// (re-deciding only when `h` is not the history decided last). Under
-    /// uniform `true`, which decides nothing, it is the order in which an
-    /// acyclicity test of `so ∪ wr` visits the transactions.
+    /// (re-deciding only when `h` is not the history decided last) — the
+    /// commit order the search recorded, or, without strong levels, the
+    /// order in which the weak index peeled `so ∪ wr ∪ forced`. Under
+    /// uniform `true`, which decides nothing, it is the order in which
+    /// peeling `so ∪ wr` removes the transactions.
     pub(crate) fn witness(&mut self, h: &History) -> Option<Vec<TxId>> {
         match self.procedure {
             Procedure::Trivial => {

@@ -3,9 +3,9 @@
 //! implementation relies on (§7.1).
 //!
 //! * Read Committed, Read Atomic and Causal Consistency are checked in
-//!   polynomial time by saturating the commit-order constraints forced by
-//!   the axioms (whose premises do not mention `co`) and testing acyclicity
-//!   (`weak`).
+//!   polynomial time by computing the commit-order constraints forced by
+//!   the axioms (whose premises do not mention `co`), one masked OR of bit
+//!   rows per axiom instance, and testing acyclicity by peeling (`weak`).
 //! * Prefix Consistency, Snapshot Isolation, Serializability and mixed
 //!   per-transaction level assignments ([`crate::isolation::LevelSpec`])
 //!   are decided by one memoised session-frontier search over commit

@@ -173,6 +173,26 @@ impl BitMatrix {
         row[j / 64] |= 1 << (j % 64);
     }
 
+    /// Unions `a & b` into row `i`, leaving out column `i` and column `j`:
+    /// the masked OR by which one axiom instance adds its forced edges,
+    /// with `i` the writer read from, `j` the reader, `a` the reader's
+    /// premise row and `b` the variable's writer row. The rows may be wider
+    /// than this matrix's; the extra words are ignored.
+    pub fn or_and_into_row(&mut self, i: usize, a: &[u64], b: &[u64], j: usize) {
+        let wpr = self.words_per_row;
+        let row = &mut self.bits[i * wpr..(i + 1) * wpr];
+        for (w, (d, (x, y))) in row.iter_mut().zip(a.iter().zip(b)).enumerate() {
+            let mut add = x & y;
+            if w == i / 64 {
+                add &= !(1 << (i % 64));
+            }
+            if w == j / 64 {
+                add &= !(1 << (j % 64));
+            }
+            *d |= add;
+        }
+    }
+
     /// Sets bit `(i, j)`.
     ///
     /// # Panics
@@ -253,6 +273,21 @@ impl BitMatrix {
     }
 }
 
+/// The positions of the set bits of a packed row (a [`BitMatrix::row`] or
+/// any vertex set in the same layout), in ascending order.
+pub fn ones(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let j = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + j
+            })
+        })
+    })
+}
+
 /// Unions `src` into `dst` word-wise, returning the OR of all changed
 /// bits (non-zero iff any destination word changed). The loop body is
 /// branch-free over fixed-width blocks of four words, so the compiler can
@@ -304,16 +339,6 @@ impl Digraph {
         self.adj.len()
     }
 
-    /// Resizes to `n` vertices and removes every edge, keeping the per-vertex
-    /// allocations alive so the graph can be reused as a scratch buffer.
-    pub fn reset(&mut self, n: usize) {
-        self.adj.truncate(n);
-        for succ in &mut self.adj {
-            succ.clear();
-        }
-        self.adj.resize(n, Vec::new());
-    }
-
     /// Whether the graph has no vertices.
     pub fn is_empty(&self) -> bool {
         self.adj.is_empty()
@@ -325,53 +350,10 @@ impl Digraph {
     ///
     /// Panics if `a` or `b` is out of range.
     pub fn add_edge(&mut self, a: usize, b: usize) {
-        self.try_add_edge(a, b);
-    }
-
-    /// Adds the edge `a → b`, returning whether it was newly inserted
-    /// (`false` when already present). The incremental engines record the
-    /// flag so an undo only removes edges it actually added.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` is out of range.
-    pub fn try_add_edge(&mut self, a: usize, b: usize) -> bool {
         assert!(a < self.len() && b < self.len(), "vertex out of range");
-        if self.adj[a].contains(&b) {
-            false
-        } else {
+        if !self.adj[a].contains(&b) {
             self.adj[a].push(b);
-            true
         }
-    }
-
-    /// Removes the edge `a → b` if present (edges are unique).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is out of range.
-    pub fn remove_edge(&mut self, a: usize, b: usize) {
-        if let Some(pos) = self.adj[a].iter().position(|w| *w == b) {
-            self.adj[a].remove(pos);
-        }
-    }
-
-    /// Appends a fresh vertex (with no edges), returning its index.
-    pub fn add_vertex(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
-    }
-
-    /// Removes the last vertex.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is empty or the vertex still has outgoing
-    /// edges. Incoming edges are the caller's responsibility: they live in
-    /// other vertices' adjacency lists and would dangle silently.
-    pub fn pop_vertex(&mut self) {
-        let last = self.adj.pop().expect("graph has a vertex to pop");
-        assert!(last.is_empty(), "popped vertex still has outgoing edges");
     }
 
     /// Successors of a vertex.
@@ -653,6 +635,22 @@ mod tests {
         m.or_into_row_with_bit(2, &saved, 129);
         assert!(m.get(2, 5));
         assert!(m.get(2, 129));
+    }
+
+    #[test]
+    fn masked_or_leaves_out_the_row_and_the_excluded_column_across_words() {
+        // 130 columns = 3 words per row; the premise and writer rows may
+        // be wider than the matrix (a fourth word here is ignored).
+        let mut m = BitMatrix::new(130);
+        let premise = [u64::MAX; 4];
+        let mut writers = [0u64; 4];
+        for j in [0usize, 63, 64, 65, 129] {
+            writers[j / 64] |= 1 << (j % 64);
+        }
+        writers[3] = u64::MAX;
+        m.or_and_into_row(65, &premise, &writers, 129);
+        assert_eq!(ones(m.row(65)).collect::<Vec<_>>(), vec![0, 63, 64]);
+        assert_eq!(ones(&[0, 1 << 3, 0, 1]).collect::<Vec<_>>(), vec![67, 192]);
     }
 
     #[test]
