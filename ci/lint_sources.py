@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Banned-pattern lint for the store, explore and checking-layer sources.
+"""Banned-pattern lint for the store, explore, program and checking-layer
+sources.
 
 Rules (each violation prints one `path:line: message` and fails the run):
 
@@ -8,13 +9,15 @@ Rules (each violation prints one `path:line: message` and fails the run):
    a context-free panic: use a typed error or a justified `expect("...")`
    that states the invariant making the failure impossible.
 2. No `panic!(` in *non-test* code of `crates/store/src`,
-   `crates/explore/src`, `crates/history/src/check` and
-   `crates/analysis/src`. Invariant breaches are `unreachable!("...")`
-   (they document why the arm cannot be taken); expected failures are
-   typed errors. Test modules (`#[cfg(test)]` to end of file) and
+   `crates/explore/src`, `crates/program/src`, `crates/history/src/check`
+   and `crates/analysis/src` (the program crate's interpreter runs on
+   every explorer and store step). Invariant breaches are
+   `unreachable!("...")` (they document why the arm cannot be taken);
+   expected failures are typed errors. Test modules (`#[cfg(test)]` to end of file) and
    `tests/` directories keep their panics — that is what tests are for.
 3. No `.unwrap(` in non-test code of `crates/explore/src`,
-   `crates/history/src/check` and `crates/analysis/src`.
+   `crates/program/src`, `crates/history/src/check` and
+   `crates/analysis/src`.
 4. No `Instant::now` / `SystemTime` in `crates/store/src/simulation.rs`:
    simulated time is logical by construction, and a single wall-clock
    read would silently break run-to-run determinism.
@@ -93,6 +96,7 @@ def main() -> int:
 
     non_test_roots = [
         ("explore", explore_src),
+        ("program", REPO / "crates" / "program" / "src"),
         ("checking", REPO / "crates" / "history" / "src" / "check"),
         ("analysis", REPO / "crates" / "analysis" / "src"),
     ]

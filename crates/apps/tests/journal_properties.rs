@@ -44,12 +44,11 @@ fn apply_random_step(
             );
             true
         }
-        SchedulerStep::Continue { session, step, .. } => {
+        SchedulerStep::Continue { session, step } => {
             match step {
                 TxStep::Read {
                     var,
                     internal_value,
-                    ..
                 } => {
                     h.append_event(session, Event::new(fresh_event, EventKind::Read(var)));
                     if internal_value.is_none() {

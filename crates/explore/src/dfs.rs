@@ -140,11 +140,10 @@ impl Dfs<'_> {
         if h.num_pending() > 0 {
             // Continue the unique pending transaction.
             match oracle_next(self.program, h, &mut self.vars)? {
-                SchedulerStep::Continue { session, step, .. } => match step {
+                SchedulerStep::Continue { session, step } => match step {
                     TxStep::Read {
                         var,
                         internal_value: None,
-                        ..
                     } => {
                         let ev = Event::new(EventId(h.max_event_id() + 1), EventKind::Read(var));
                         let mark = h.checkpoint();

@@ -24,6 +24,13 @@
 //! move, explores the child, then rolls back to the checkpoint and
 //! restores the frame's order.
 //!
+//! `Next` (§5.1) steps the pending transaction's [`TxCursor`], which the
+//! traversal carries from node to node. A read frame keeps the cursor as
+//! it was at the read, and each of its moves resumes a copy with the value
+//! of its writer. A swap rewrites the pending transaction's log, so the
+//! step after a swap, like the first step of a task, rebuilds the cursor by
+//! replaying that log.
+//!
 //! Parallel workers run the same traversal on every task they pop. They
 //! materialise children as histories of their own only to hand work to
 //! other workers: in the breadth-first seeding pass, and when a sibling is
@@ -41,7 +48,8 @@ use txdpor_history::{
     HistoryFingerprint, HistoryMark, SessionId, SharedMemo, TxId, TxSet, VarTable, Verdict,
 };
 use txdpor_program::{
-    initial_history, oracle_next, replay_all, Program, SchedulerStep, SemanticsError, TxStep,
+    initial_history, oracle_next, replay_all, replay_pending, Program, SchedulerStep,
+    SemanticsError, TransactionDef, TxCursor, TxStep,
 };
 
 use crate::assertion::{AssertionCtx, AssertionFn};
@@ -327,13 +335,24 @@ fn merge_worker(report: &mut ExplorationReport, worker: ExplorationReport) {
     }
 }
 
+/// The pending transaction of the explored history, with the cursor that
+/// steps its body.
+#[derive(Clone, Debug)]
+struct Pending<'a> {
+    session: SessionId,
+    def: &'a TransactionDef,
+    cursor: TxCursor,
+}
+
 /// The children of a frame's node, as moves on the frame's base history.
 #[derive(Debug)]
-enum Moves {
-    /// At an external read: the read `event` of `session` is appended and
-    /// reads from each `ValidWrites` writer in turn.
+enum Moves<'a> {
+    /// At an external read: the read `event` of the `pending` transaction
+    /// is appended and reads from each `ValidWrites` writer in turn. The
+    /// cursor is at the read; each move resumes a copy of it. Boxed, so
+    /// that every frame keeps the size of a swap frame.
     Reads {
-        session: SessionId,
+        pending: Box<Pending<'a>>,
         event: Event,
         writers: Vec<TxId>,
     },
@@ -352,14 +371,14 @@ enum Moves {
 /// A node of the exploration tree with children still to visit (or being
 /// visited).
 #[derive(Debug)]
-struct Frame {
+struct Frame<'a> {
     /// Checkpoint at the base history, open while a child is explored:
     /// rolling back to it undoes the child's move and everything below.
     mark: HistoryMark,
     /// Length of the base order. Read moves only append to the order, so a
     /// read frame's base order is a prefix of the order its child leaves.
     order_len: usize,
-    moves: Moves,
+    moves: Moves<'a>,
     /// Index of the next move to visit; it and the moves after it are
     /// untried.
     next: usize,
@@ -369,9 +388,9 @@ struct Frame {
     base: ((u64, u64), Vec<EventId>),
 }
 
-impl Frame {
+impl<'a> Frame<'a> {
     /// Opens a frame whose base is the current `h`.
-    fn open(h: &mut OrderedHistory, moves: Moves) -> Frame {
+    fn open(h: &mut OrderedHistory, moves: Moves<'a>) -> Frame<'a> {
         Frame {
             mark: h.history.checkpoint(),
             order_len: h.order.len(),
@@ -401,11 +420,11 @@ impl Frame {
     fn apply(&self, k: usize, h: &mut OrderedHistory) {
         match &self.moves {
             Moves::Reads {
-                session,
+                pending,
                 event,
                 writers,
             } => {
-                h.history.append_event(*session, event.clone());
+                h.history.append_event(pending.session, event.clone());
                 h.push(event.id);
                 h.history.set_wr(event.id, writers[k]);
             }
@@ -416,6 +435,31 @@ impl Frame {
                 ..
             } => apply_swap(h, reads[k], *target, ancestors),
         }
+    }
+
+    /// The pending transaction after move `k` was applied to `h`. A read
+    /// move resumes a copy of the frame's cursor with the value of its
+    /// writer. A swap rewrote the pending transaction's log: its cursor is
+    /// rebuilt from that log at the next step.
+    fn pending_after(&self, k: usize, h: &History) -> Result<Option<Pending<'a>>, SemanticsError> {
+        let Moves::Reads {
+            pending,
+            event,
+            writers,
+        } = &self.moves
+        else {
+            return Ok(None);
+        };
+        let var = event.var().expect("a read frame holds a read event");
+        let value = h.visible_write_value(writers[k], var).ok_or_else(|| {
+            SemanticsError::ReplayMismatch {
+                expected: format!("a write of {var} by {}", writers[k]),
+                found: "none".to_owned(),
+            }
+        })?;
+        let mut next = Pending::clone(pending);
+        next.cursor.read(next.def, value)?;
+        Ok(Some(next))
     }
 
     /// Returns `h` to the base once a child's subtree is done: rolls back
@@ -445,7 +489,7 @@ impl Frame {
 /// each as a history of its own. `h` is at the base of the top frame; the
 /// base of `frames[d]` is a copy of `h` as it was at the frame's
 /// checkpoint, with the frame's base order. Moves must remain untried.
-fn untried_children(h: &OrderedHistory, frames: &[Frame], d: usize) -> Vec<OrderedHistory> {
+fn untried_children(h: &OrderedHistory, frames: &[Frame<'_>], d: usize) -> Vec<OrderedHistory> {
     let frame = &frames[d];
     debug_assert!(frame.next < frame.len(), "no untried move to materialise");
     // Up to the first frame from `d` on that keeps its base order, the
@@ -474,7 +518,12 @@ fn untried_children(h: &OrderedHistory, frames: &[Frame], d: usize) -> Vec<Order
 /// Hands the untried moves of the shallowest frame that has any to worker
 /// `w`'s deque, and closes them in the frame. `h` is at the base of the
 /// top frame.
-fn hand_out(h: &OrderedHistory, frames: &mut [Frame], pool: &StealPool<OrderedHistory>, w: usize) {
+fn hand_out(
+    h: &OrderedHistory,
+    frames: &mut [Frame<'_>],
+    pool: &StealPool<OrderedHistory>,
+    w: usize,
+) {
     let Some(d) = frames.iter().position(|f| f.next < f.len()) else {
         return;
     };
@@ -492,6 +541,11 @@ struct Explorer<'a> {
     report: ExplorationReport,
     seen: HashSet<HistoryFingerprint>,
     deadline: Option<Instant>,
+    /// The pending transaction of the history being explored and its
+    /// cursor, carried from step to step. `None` when the history has no
+    /// pending transaction, or when its cursor must be rebuilt from the
+    /// log: after a swap, and at the root of a task.
+    pending: Option<Pending<'a>>,
     /// Engine deciding the exploration level, shared by `ValidWrites` and
     /// the `Optimality` checks of this explorer.
     checker: Box<dyn ConsistencyChecker>,
@@ -528,6 +582,7 @@ impl<'a> Explorer<'a> {
             report: ExplorationReport::default(),
             seen: HashSet::new(),
             deadline: config.timeout.map(|t| Instant::now() + t),
+            pending: None,
             checker: engine_for_spec_with(&config.exploration, config.memoize),
             commit_pass: CommitPass::default(),
             #[cfg(test)]
@@ -601,6 +656,7 @@ impl<'a> Explorer<'a> {
         let mut frames = Vec::new();
         while !frontier.is_empty() && frontier.len() < target && !self.timed_out() {
             let mut node = frontier.pop_front().expect("frontier is non-empty");
+            self.pending = None;
             let extended = self.expand(&mut node, &mut frames)?;
             let children = match frames.pop() {
                 Some(frame) => {
@@ -637,9 +693,10 @@ impl<'a> Explorer<'a> {
         &mut self,
         mut h: OrderedHistory,
         pool: Option<(&StealPool<OrderedHistory>, usize)>,
-        mut before_move: impl FnMut(&OrderedHistory, &Frame, usize),
+        mut before_move: impl FnMut(&OrderedHistory, &Frame<'a>, usize),
     ) -> Result<(), ExploreError> {
-        let mut frames: Vec<Frame> = Vec::new();
+        let mut frames: Vec<Frame<'a>> = Vec::new();
+        self.pending = None;
         self.visit(&mut h, &mut frames)?;
         while let Some(top) = frames.last_mut() {
             top.rewind(&mut h);
@@ -659,6 +716,7 @@ impl<'a> Explorer<'a> {
             before_move(&h, top, k);
             top.mark = h.history.checkpoint();
             top.apply(k, &mut h);
+            self.pending = top.pending_after(k, &h.history)?;
             self.visit(&mut h, &mut frames)?;
         }
         Ok(())
@@ -670,7 +728,7 @@ impl<'a> Explorer<'a> {
     fn visit(
         &mut self,
         h: &mut OrderedHistory,
-        frames: &mut Vec<Frame>,
+        frames: &mut Vec<Frame<'a>>,
     ) -> Result<(), ExploreError> {
         while self.expand(h, frames)? {}
         Ok(())
@@ -686,7 +744,7 @@ impl<'a> Explorer<'a> {
     fn expand(
         &mut self,
         h: &mut OrderedHistory,
-        frames: &mut Vec<Frame>,
+        frames: &mut Vec<Frame<'a>>,
     ) -> Result<bool, ExploreError> {
         if self.timed_out() {
             return Ok(false);
@@ -694,29 +752,40 @@ impl<'a> Explorer<'a> {
         self.report.explore_calls += 1;
         self.report.max_events = self.report.max_events.max(h.order.len());
         debug_assert_eq!(h.check_invariants(), Ok(()));
-        let (session, step) = match oracle_next(self.program, &h.history, &mut self.vars)? {
-            SchedulerStep::Finished => {
-                self.handle_complete(h);
-                return Ok(false);
+        let Some((mut pending, step)) = self.next_step(&h.history)? else {
+            match oracle_next(self.program, &h.history, &mut self.vars)? {
+                SchedulerStep::Begin {
+                    session,
+                    program_index,
+                } => {
+                    let def = self
+                        .program
+                        .transaction(session.0 as usize, program_index)
+                        .expect("Next begins a transaction of the program");
+                    let tx = Self::fresh_tx(&h.history);
+                    let ev = Event::new(Self::fresh_event(&h.history), EventKind::Begin);
+                    let id = ev.id;
+                    h.history.begin_transaction(session, tx, program_index, ev);
+                    h.push(id);
+                    self.pending = Some(Pending {
+                        session,
+                        def,
+                        cursor: TxCursor::new(),
+                    });
+                    return Ok(true);
+                }
+                SchedulerStep::Finished => self.handle_complete(h),
+                SchedulerStep::Continue { .. } => {
+                    unreachable!("a history without a pending transaction has nothing to continue")
+                }
             }
-            SchedulerStep::Begin {
-                session,
-                program_index,
-            } => {
-                let tx = Self::fresh_tx(&h.history);
-                let ev = Event::new(Self::fresh_event(&h.history), EventKind::Begin);
-                let id = ev.id;
-                h.history.begin_transaction(session, tx, program_index, ev);
-                h.push(id);
-                return Ok(true);
-            }
-            SchedulerStep::Continue { session, step, .. } => (session, step),
+            return Ok(false);
         };
+        let session = pending.session;
         let kind = match step {
             TxStep::Read {
                 var,
                 internal_value: None,
-                ..
             } => {
                 let event = Event::new(Self::fresh_event(&h.history), EventKind::Read(var));
                 let writers = self.valid_writes(h, session, &event);
@@ -724,7 +793,7 @@ impl<'a> Explorer<'a> {
                     self.report.blocked += 1;
                 } else {
                     let moves = Moves::Reads {
-                        session,
+                        pending: Box::new(pending),
                         event,
                         writers,
                     };
@@ -732,8 +801,20 @@ impl<'a> Explorer<'a> {
                 }
                 return Ok(false);
             }
-            TxStep::Read { var, .. } => EventKind::Read(var),
-            TxStep::Write { var, value } => EventKind::Write(var, value),
+            TxStep::Read {
+                var,
+                internal_value: Some(value),
+            } => {
+                pending.cursor.read(pending.def, value)?;
+                self.pending = Some(pending);
+                EventKind::Read(var)
+            }
+            TxStep::Write { var, value } => {
+                pending.cursor.write(pending.def, var, value.clone())?;
+                self.pending = Some(pending);
+                EventKind::Write(var, value)
+            }
+            // The transaction ends, and its cursor with it.
             TxStep::Commit => EventKind::Commit,
             TxStep::Abort => EventKind::Abort,
         };
@@ -746,6 +827,42 @@ impl<'a> Explorer<'a> {
             self.open_swaps(h, frames);
         }
         Ok(true)
+    }
+
+    /// `Next(P, h)` (§5.1) for a history with a pending transaction: that
+    /// transaction with its cursor, and the step the cursor is at. The
+    /// cursor carried over from the previous step is resumed; without one
+    /// it is rebuilt by replaying the transaction's log. `None` when `h`
+    /// has no pending transaction.
+    fn next_step(&mut self, h: &History) -> Result<Option<(Pending<'a>, TxStep)>, ExploreError> {
+        let (pending, step) = match self.pending.take() {
+            Some(mut pending) => {
+                let step = pending.cursor.next(pending.def, &mut self.vars)?;
+                (pending, step)
+            }
+            None => {
+                let Some((log, def, cursor, step)) =
+                    replay_pending(self.program, h, &mut self.vars)?
+                else {
+                    return Ok(None);
+                };
+                let pending = Pending {
+                    session: log.session,
+                    def,
+                    cursor,
+                };
+                (pending, step)
+            }
+        };
+        debug_assert_eq!(
+            oracle_next(self.program, h, &mut self.vars),
+            Ok(SchedulerStep::Continue {
+                session: pending.session,
+                step: step.clone(),
+            }),
+            "the pending transaction's cursor disagrees with replaying its log"
+        );
+        Ok(Some((pending, step)))
     }
 
     /// `exploreSwaps` (Algorithm 2) after the commit that ends `h`: decides
@@ -1340,6 +1457,80 @@ mod tests {
             explore_with_assertion(&p, config, Some(assertion))
         }));
         assert!(result.is_err(), "the worker panic must propagate");
+    }
+
+    /// A write computed from a read: the reader's write of y is the x it
+    /// read plus 10, in every output history, whichever writer of x the
+    /// read got. With the reader between the writers' sessions, its read
+    /// has two `ValidWrites` moves (init and the first writer), which must
+    /// each resume their own copy of the reader's cursor, and a swap
+    /// re-orders it to read the second writer. With the reader first, every
+    /// non-init value comes from a swap.
+    #[test]
+    fn a_write_follows_the_value_its_read_returned() {
+        use std::collections::BTreeSet;
+        use txdpor_history::Value;
+        let reader = || {
+            tx(
+                "r",
+                vec![read("a", g("x")), write(g("y"), add(local("a"), cint(10)))],
+            )
+        };
+        let writer = |v| tx("w", vec![write(g("x"), cint(v))]);
+        let programs = [
+            program(vec![
+                session(vec![writer(1)]),
+                session(vec![reader()]),
+                session(vec![writer(2)]),
+            ]),
+            program(vec![
+                session(vec![reader()]),
+                session(vec![writer(1)]),
+                session(vec![writer(2)]),
+            ]),
+        ];
+        let configs = [
+            ExploreConfig::explore_ce(IsolationLevel::CausalConsistency),
+            ExploreConfig::explore_ce_star(
+                IsolationLevel::ReadCommitted,
+                IsolationLevel::CausalConsistency,
+            ),
+        ];
+        for p in &programs {
+            for config in &configs {
+                let report = run(p, config.clone());
+                assert_eq!(report.duplicate_outputs, 0);
+                let x = report.vars.get("x").unwrap();
+                let y = report.vars.get("y").unwrap();
+                let mut seen = BTreeSet::new();
+                for h in &report.histories {
+                    let r = h
+                        .transactions()
+                        .find(|t| t.write_events().any(|e| e.var() == Some(y)))
+                        .expect("the reader commits");
+                    let read = r
+                        .events
+                        .iter()
+                        .find(|e| e.kind == EventKind::Read(x))
+                        .expect("the reader reads x");
+                    let Some(Value::Int(a)) = h.read_value(read.id) else {
+                        panic!("x reads an integer in\n{h}");
+                    };
+                    assert_eq!(
+                        r.visible_write_value(y),
+                        Some(&Value::Int(a + 10)),
+                        "y is not x + 10 in\n{h}"
+                    );
+                    seen.insert(a);
+                }
+                assert_eq!(
+                    seen,
+                    BTreeSet::from([0, 1, 2]),
+                    "under {}",
+                    config.exploration
+                );
+            }
+        }
     }
 
     /// The long fork with the readers' sessions first: every write then

@@ -5,10 +5,11 @@
 //! set operations so that the SQL-style benchmark applications of §7.2 can
 //! be modelled (tables as "set" variables of row ids).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use txdpor_history::Value;
+
+use crate::chain::Chain;
 
 /// Error raised when evaluating an expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,9 +40,15 @@ impl std::error::Error for EvalError {}
 
 /// A valuation of local variables, scoped to the current transaction of a
 /// session (rule `spawn` of the operational semantics resets it).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The bindings form a persistent list, newest first, whose clones share
+/// their nodes: interpreters keep a copy of their environment at every
+/// external read, and a copy costs one reference count however many locals
+/// it holds. Assigning a bound local adds a binding that shadows the old
+/// one.
+#[derive(Clone, Default)]
 pub struct Env {
-    vars: BTreeMap<String, Value>,
+    bindings: Chain<(Box<str>, Value)>,
 }
 
 impl Env {
@@ -52,27 +59,49 @@ impl Env {
 
     /// Looks up a local variable.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.vars.get(name)
+        self.bindings
+            .iter()
+            .find(|(n, _)| &**n == name)
+            .map(|(_, v)| v)
     }
 
     /// Assigns a local variable.
     pub fn set(&mut self, name: &str, value: Value) {
-        self.vars.insert(name.to_owned(), value);
+        self.bindings.push((name.into(), value));
     }
 
     /// Number of bound locals.
     pub fn len(&self) -> usize {
-        self.vars.len()
+        self.iter().count()
     }
 
     /// Whether no local is bound.
     pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
+        self.bindings.is_empty()
     }
 
     /// Iterates over the bindings in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.vars.iter().map(|(k, v)| (k.as_str(), v))
+        let mut visible: Vec<(&str, &Value)> =
+            self.bindings.iter().map(|(n, v)| (&**n, v)).collect();
+        // Stable: each name's newest binding stays first, and survives.
+        visible.sort_by_key(|&(name, _)| name);
+        visible.dedup_by_key(|&mut (name, _)| name);
+        visible.into_iter()
+    }
+}
+
+impl PartialEq for Env {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Env {}
+
+impl fmt::Debug for Env {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -263,11 +292,13 @@ mod tests {
     fn env_accessors() {
         let mut env = Env::new();
         assert!(env.is_empty());
+        env.set("b", Value::Int(1));
         env.set("a", Value::Int(1));
         env.set("a", Value::Int(2));
-        assert_eq!(env.len(), 1);
+        assert_eq!(env.len(), 2);
         assert_eq!(env.get("a"), Some(&Value::Int(2)));
-        assert_eq!(env.iter().count(), 1);
+        let bindings: Vec<_> = env.iter().collect();
+        assert_eq!(bindings, [("a", &Value::Int(2)), ("b", &Value::Int(1))]);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! Isolation Levels"*: bounded programs made of parallel sessions, each a
 //! sequence of transactions whose bodies read and write global variables
 //! and manipulate transaction-local variables (Fig. 1). The operational
-//! semantics of §2.3 is provided in *replay* form, which is what the
-//! exploration algorithms of `txdpor-explore` build on.
+//! semantics of §2.3 is a resumable interpreter, [`TxCursor`], stepped one
+//! database event at a time by the explorer of `txdpor-explore` and the
+//! simulated store's clients; replaying a transaction's log rebuilds one.
 //!
 //! # Example
 //!
@@ -39,6 +40,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod chain;
 pub mod dsl;
 pub mod expr;
 pub mod instr;
@@ -47,6 +49,6 @@ pub mod semantics;
 pub use expr::{Env, EvalError, Expr};
 pub use instr::{GlobalRef, Instr, Program, Session, TransactionDef};
 pub use semantics::{
-    execute_serial, initial_history, oracle_next, replay_all, replay_transaction, SchedulerStep,
-    SemanticsError, TxReplay, TxStep,
+    execute_serial, initial_history, oracle_next, replay_all, replay_pending, replay_transaction,
+    SchedulerStep, SemanticsError, TxCursor, TxReplay, TxStep,
 };

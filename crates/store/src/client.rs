@@ -8,12 +8,12 @@
 //! backoff, up to [`RetryPolicy::max_attempts`] — then the client gives up
 //! on that transaction with a typed [`ClientError`] instead of panicking.
 //!
-//! The transaction body is executed by *replay*, exactly like the
-//! repo-wide operational semantics (`txdpor_program::semantics`): the
-//! body's instructions are re-walked against the attempt's recorded
-//! [`ClientEvent`] log every time a read reply arrives, so local state
-//! reconstruction is deterministic and only external reads suspend the
-//! walk.
+//! The transaction body runs on the repo-wide interpreter of the
+//! operational semantics, a [`TxCursor`] (`txdpor_program::semantics`).
+//! Each attempt starts a fresh cursor and steps it, logging every write and
+//! internal read as a [`ClientEvent`], until it reaches an external read;
+//! the read's reply resumes the same cursor. Only external reads suspend
+//! the body, and nothing is re-executed.
 //!
 //! Commit protocol (two-phase, Percolator-shaped): prewrite all written
 //! shards (acquiring exclusive locks), then draw a commit timestamp, then
@@ -39,7 +39,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use txdpor_history::{Value, Var, VarTable};
-use txdpor_program::{Env, EvalError, Instr, TransactionDef};
+use txdpor_program::{SemanticsError, TransactionDef, TxCursor, TxStep};
 
 use crate::deploy::ProtocolMode;
 use crate::msg::{Addr, Decision, Message, Payload, Reply, Request, TxnId};
@@ -259,7 +259,10 @@ enum Phase {
     Done,
 }
 
-/// The per-session client driver.
+/// The per-session client driver. It runs each attempt's body on a
+/// [`TxCursor`] of its own: a new attempt (a retry included) starts a fresh
+/// one, and the cursor stays suspended at an external read until the
+/// read's reply resumes it.
 #[derive(Debug)]
 pub struct Client {
     id: u32,
@@ -276,6 +279,8 @@ pub struct Client {
 
     txn: TxnId,
     start_ts: u64,
+    /// The attempt's interpreter of the transaction body.
+    cursor: TxCursor,
     events: Vec<ClientEvent>,
     touched: BTreeSet<u32>,
     next_req: u64,
@@ -327,6 +332,7 @@ impl Client {
                 attempt: 0,
             },
             start_ts: 0,
+            cursor: TxCursor::new(),
             events: Vec::new(),
             touched: BTreeSet::new(),
             next_req: 0,
@@ -412,6 +418,7 @@ impl Client {
             attempt: self.attempt_counter,
         };
         self.start_ts = 0;
+        self.cursor = TxCursor::new();
         self.events.clear();
         self.touched.clear();
         self.outstanding.clear();
@@ -440,9 +447,8 @@ impl Client {
         }
     }
 
-    /// Re-walks the transaction body against the attempt's event log and
-    /// acts on the outcome (issue the next read RPC, move to commit, or
-    /// abort voluntarily).
+    /// Resumes the attempt's cursor and acts on where the body stops: issue
+    /// the external read's RPC, move to commit, or abort voluntarily.
     fn step_body(
         &mut self,
         vars: &mut VarTable,
@@ -450,24 +456,8 @@ impl Client {
         errors: &mut Vec<ClientError>,
         fx: &mut Effects,
     ) {
-        let body = self.txs[self.cur].body.clone();
-        let mut walker = BodyWalker {
-            events: &mut self.events,
-            vars,
-            env: Env::new(),
-            cursor: 0,
-        };
-        match walker.walk(&body) {
-            Err(e) => {
-                errors.push(ClientError::Body {
-                    session: self.id,
-                    name: self.txs[self.cur].name.clone(),
-                    detail: e.to_string(),
-                });
-                self.cur = self.txs.len();
-                self.phase = Phase::Done;
-            }
-            Ok(Flow::Need(var)) => {
+        match self.run_body(vars) {
+            Ok(TxStep::Read { var, .. }) => {
                 let snapshot = self.mode().snapshot_reads().then_some(self.start_ts);
                 let lock = self.mode().lock_reads();
                 self.phase = Phase::AwaitRead { var };
@@ -483,9 +473,59 @@ impl Client {
                     fx,
                 );
             }
-            Ok(Flow::Ended) => self.abort_attempt(AfterAbort::NextTx, vars, committed, errors, fx),
-            Ok(Flow::Fallthrough) => self.finish_body(vars, committed, errors, fx),
+            Ok(TxStep::Abort) => {
+                self.abort_attempt(AfterAbort::NextTx, vars, committed, errors, fx)
+            }
+            // The commit: `run_body` consumes every write.
+            Ok(_) => self.finish_body(vars, committed, errors, fx),
+            Err(e) => self.body_failed(&e, errors),
         }
+    }
+
+    /// Steps the attempt's cursor through writes and internal reads,
+    /// logging them, and returns the step it stops at: an external read,
+    /// the commit or an abort.
+    fn run_body(&mut self, vars: &mut VarTable) -> Result<TxStep, SemanticsError> {
+        let def = &self.txs[self.cur];
+        loop {
+            match self.cursor.next(def, vars)? {
+                TxStep::Read {
+                    var,
+                    internal_value: Some(value),
+                } => {
+                    self.events.push(ClientEvent::Read {
+                        var,
+                        value: value.clone(),
+                        writer: None,
+                        external: false,
+                    });
+                    self.cursor.read(def, value)?;
+                }
+                TxStep::Write { var, value } => {
+                    self.events.push(ClientEvent::Write {
+                        var,
+                        value: value.clone(),
+                    });
+                    self.cursor.write(def, var, value)?;
+                }
+                stop => return Ok(stop),
+            }
+        }
+    }
+
+    /// The body failed to evaluate: report it and stop the session.
+    fn body_failed(&mut self, e: &SemanticsError, errors: &mut Vec<ClientError>) {
+        let detail = match e {
+            SemanticsError::Eval(e) => e.to_string(),
+            other => other.to_string(),
+        };
+        errors.push(ClientError::Body {
+            session: self.id,
+            name: self.txs[self.cur].name.clone(),
+            detail,
+        });
+        self.cur = self.txs.len();
+        self.phase = Phase::Done;
     }
 
     /// The final value of every variable the attempt wrote.
@@ -732,11 +772,14 @@ impl Client {
                 let var = *var;
                 self.events.push(ClientEvent::Read {
                     var,
-                    value,
+                    value: value.clone(),
                     writer,
                     external: true,
                 });
-                self.step_body(vars, committed, errors, fx);
+                match self.cursor.read(&self.txs[self.cur], value) {
+                    Ok(()) => self.step_body(vars, committed, errors, fx),
+                    Err(e) => self.body_failed(&e, errors),
+                }
             }
             (Phase::AwaitRead { var }, Reply::ReadLocked) => {
                 let var = *var;
@@ -863,105 +906,6 @@ impl Client {
                 }
             }
         }
-    }
-}
-
-/// Control-flow outcome of walking a block, mirroring
-/// `txdpor_program::semantics`.
-enum Flow {
-    Fallthrough,
-    Need(Var),
-    Ended,
-}
-
-/// Replays a transaction body against the attempt's event log, extending
-/// the log with writes and internal reads until an external read is needed
-/// (or the body completes).
-struct BodyWalker<'a> {
-    events: &'a mut Vec<ClientEvent>,
-    vars: &'a mut VarTable,
-    env: Env,
-    cursor: usize,
-}
-
-impl BodyWalker<'_> {
-    fn last_logged_write(&self, var: Var) -> Option<Value> {
-        self.events[..self.cursor]
-            .iter()
-            .rev()
-            .find_map(|e| match e {
-                ClientEvent::Write { var: x, value } if *x == var => Some(value.clone()),
-                _ => None,
-            })
-    }
-
-    fn walk(&mut self, body: &[Instr]) -> Result<Flow, EvalError> {
-        for instr in body {
-            match instr {
-                Instr::Assign { local, expr } => {
-                    let v = expr.eval(&self.env)?;
-                    self.env.set(local, v);
-                }
-                Instr::Read { local, global } => {
-                    let var = global.resolve(&self.env, self.vars)?;
-                    if self.cursor < self.events.len() {
-                        match &self.events[self.cursor] {
-                            ClientEvent::Read { var: x, value, .. } if *x == var => {
-                                let v = value.clone();
-                                self.env.set(local, v);
-                                self.cursor += 1;
-                            }
-                            other => unreachable!(
-                                "client replay mismatch: expected read({var}), log has {other:?}"
-                            ),
-                        }
-                    } else if let Some(v) = self.last_logged_write(var) {
-                        self.events.push(ClientEvent::Read {
-                            var,
-                            value: v.clone(),
-                            writer: None,
-                            external: false,
-                        });
-                        self.env.set(local, v);
-                        self.cursor += 1;
-                    } else {
-                        return Ok(Flow::Need(var));
-                    }
-                }
-                Instr::Write { global, expr } => {
-                    let var = global.resolve(&self.env, self.vars)?;
-                    if self.cursor < self.events.len() {
-                        match &self.events[self.cursor] {
-                            ClientEvent::Write { var: x, .. } if *x == var => self.cursor += 1,
-                            other => unreachable!(
-                                "client replay mismatch: expected write({var}), log has {other:?}"
-                            ),
-                        }
-                    } else {
-                        let value = expr.eval(&self.env)?;
-                        self.events.push(ClientEvent::Write { var, value });
-                        self.cursor += 1;
-                    }
-                }
-                Instr::Abort => return Ok(Flow::Ended),
-                Instr::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    let taken = if cond.eval(&self.env)?.truthy() {
-                        then_branch
-                    } else {
-                        else_branch
-                    };
-                    match self.walk(taken)? {
-                        Flow::Fallthrough => {}
-                        other => return Ok(other),
-                    }
-                }
-            }
-        }
-        Ok(Flow::Fallthrough)
     }
 }
 
@@ -1187,49 +1131,163 @@ mod tests {
         assert_eq!(query(&mut c, 3, 2, &mut vars), Some(Decision::Aborted));
     }
 
-    #[test]
-    fn body_walker_replays_internal_reads_and_branches() {
+    /// Delivers `reply` to request `req_id` of `c`, as if from shard 0.
+    fn reply(c: &mut Client, req_id: u64, reply: Reply, vars: &mut VarTable) -> Effects {
+        let (mut committed, mut errors) = (Vec::new(), Vec::new());
+        let mut fx = Effects::default();
+        c.on_message(
+            Message {
+                from: Addr::Shard(0),
+                req_id,
+                payload: Payload::Reply(reply),
+            },
+            vars,
+            &mut committed,
+            &mut errors,
+            &mut fx,
+        );
+        assert!(errors.is_empty(), "{errors:?}");
+        fx
+    }
+
+    /// The requests of `fx`, with their ids.
+    fn requests(fx: &Effects) -> Vec<(u64, Request)> {
+        fx.sends
+            .iter()
+            .filter_map(|(_, m)| match &m.payload {
+                Payload::Request(r) => Some((m.req_id, r.clone())),
+                Payload::Reply(_) => None,
+            })
+            .collect()
+    }
+
+    /// A locking-read client on one shard running a body that writes x,
+    /// reads it back internally, and under a guard on that read reads y
+    /// externally and writes z from both reads.
+    fn branching_client() -> Client {
         use txdpor_program::dsl::*;
-        let mut vars = VarTable::new();
-        let mut events = Vec::new();
         let body = vec![
             write(g("x"), cint(5)),
             read("a", g("x")), // internal
             iff(
                 eq(local("a"), cint(5)),
-                vec![read("b", g("y"))], // external
+                vec![
+                    read("b", g("y")), // external
+                    write(g("z"), add(local("a"), local("b"))),
+                ],
             ),
         ];
-        let mut w = BodyWalker {
-            events: &mut events,
-            vars: &mut vars,
-            env: Env::new(),
-            cursor: 0,
+        Client::new(
+            0,
+            vec![tx("t", body)],
+            vec![ProtocolMode::Serializable],
+            RetryPolicy::default(),
+            1,
+            3,
+        )
+    }
+
+    #[test]
+    fn step_body_logs_internal_reads_and_resumes_after_a_read() {
+        let mut c = branching_client();
+        let mut vars = VarTable::new();
+        let (mut committed, mut errors) = (Vec::new(), Vec::new());
+        let mut fx = Effects::default();
+        c.start(&mut vars, &mut committed, &mut errors, &mut fx);
+        let [x, y, z] = ["x", "y", "z"].map(|n| vars.intern(n));
+        // The write and the internal read are logged; the guard holds, so
+        // the body stops at the external read of y.
+        let first = vec![
+            ClientEvent::Write {
+                var: x,
+                value: Value::Int(5),
+            },
+            ClientEvent::Read {
+                var: x,
+                value: Value::Int(5),
+                writer: None,
+                external: false,
+            },
+        ];
+        assert_eq!(c.events, first);
+        let [(read_id, Request::Read { var, .. })] = requests(&fx)[..] else {
+            panic!("expected one read request, got {:?}", requests(&fx));
         };
-        let y = match w.walk(&body).expect("walk succeeds on a served log") {
-            Flow::Need(v) => v,
-            _ => panic!("expected an external read"),
-        };
-        assert_eq!(vars.name(y), "y");
-        assert_eq!(events.len(), 2, "write + internal read are logged");
-        // Serve the read and re-walk: the log replays bit-identically.
-        events.push(ClientEvent::Read {
+        assert_eq!(var, y);
+        // The reply resumes the same cursor: z is written from both reads.
+        let fx = reply(
+            &mut c,
+            read_id,
+            Reply::ReadOk {
+                value: Value::Int(7),
+                writer: None,
+            },
+            &mut vars,
+        );
+        let mut want = first;
+        want.push(ClientEvent::Read {
             var: y,
-            value: Value::Int(0),
+            value: Value::Int(7),
             writer: None,
             external: true,
         });
-        let snapshot = events.clone();
-        let mut w = BodyWalker {
-            events: &mut events,
-            vars: &mut vars,
-            env: Env::new(),
-            cursor: 0,
+        want.push(ClientEvent::Write {
+            var: z,
+            value: Value::Int(12),
+        });
+        assert_eq!(c.events, want);
+        let [(_, Request::Prewrite { writes, .. })] = &requests(&fx)[..] else {
+            panic!("expected one prewrite, got {:?}", requests(&fx));
         };
-        assert!(matches!(
-            w.walk(&body).expect("walk succeeds on a served log"),
-            Flow::Fallthrough
-        ));
-        assert_eq!(events, snapshot);
+        assert_eq!(writes, &vec![(x, Value::Int(5)), (z, Value::Int(12))]);
+    }
+
+    #[test]
+    fn a_retried_attempt_restarts_its_cursor() {
+        let mut c = branching_client();
+        let mut vars = VarTable::new();
+        let (mut committed, mut errors) = (Vec::new(), Vec::new());
+        let mut fx = Effects::default();
+        c.start(&mut vars, &mut committed, &mut errors, &mut fx);
+        let first = c.events.clone();
+        assert_eq!(first.len(), 2, "the write and the internal read");
+        let [(read_id, Request::Read { txn, .. })] = requests(&fx)[..] else {
+            panic!("expected one read request, got {:?}", requests(&fx));
+        };
+        // The locking read conflicts: the attempt aborts where it read…
+        let fx = reply(&mut c, read_id, Reply::ReadConflict, &mut vars);
+        let [(abort_id, Request::Abort { txn: aborted })] = requests(&fx)[..] else {
+            panic!("expected one abort, got {:?}", requests(&fx));
+        };
+        assert_eq!(aborted, txn);
+        assert_eq!(c.attempts_aborted, 1);
+        // …backs off…
+        let fx = reply(&mut c, abort_id, Reply::AbortOk, &mut vars);
+        let [(_, wake @ TimerKind::Wake(_))] = fx.timers[..] else {
+            panic!("expected one backoff timer, got {:?}", fx.timers);
+        };
+        // …and the next attempt logs the same write and internal read
+        // again before it reads y under its own id.
+        let mut fx = Effects::default();
+        c.on_timer(wake, &mut vars, &mut committed, &mut errors, &mut fx);
+        assert!(errors.is_empty());
+        assert_eq!(c.events, first);
+        let [(
+            _,
+            Request::Read {
+                txn: retry, var, ..
+            },
+        )] = requests(&fx)[..]
+        else {
+            panic!("expected one read request, got {:?}", requests(&fx));
+        };
+        assert_eq!(var, vars.intern("y"));
+        assert_eq!(
+            retry,
+            TxnId {
+                client: 0,
+                attempt: txn.attempt + 1
+            }
+        );
     }
 }
