@@ -2,12 +2,13 @@
 //! interleavings of the benchmark application workloads.
 //!
 //! A long-lived engine follows one history through random scheduler walks,
-//! checkpoint/mutate/rollback cycles and `ValidWrites`-style wr churn,
-//! syncing its index from the history's mutation-delta log. At every step
-//! its verdict must be bit-identical to a fresh from-scratch engine on the
-//! same history — for every isolation level, with and without result
-//! memoisation — and each of its memo misses must be counted exactly once,
-//! as an incremental sync or a full rebuild. This pins the whole observer
+//! checkpoint/mutate/rollback cycles, `ValidWrites`-style wr churn and
+//! nested `pop_doomed`-style descents (`unset_wr`, `pop_event`,
+//! `retract_begin`), syncing its index from the history's mutation-delta
+//! log. At every step its verdict must be bit-identical to a fresh
+//! from-scratch engine on the same history — for every isolation level,
+//! with and without result memoisation — and each of its memo misses must
+//! be counted exactly once, as an incremental sync or a full rebuild. This pins the whole observer
 //! pipeline: delta recording (including the inverse deltas emitted by
 //! rollbacks and `retract_begin`), incremental closure maintenance, the
 //! LIFO undo stack and each destructive fallback path.
@@ -20,7 +21,7 @@ use txdpor_apps::workload::{client_program, App, MixedScenario, WorkloadConfig};
 use txdpor_history::axioms::oracle_satisfies;
 use txdpor_history::{
     engine_for, engine_for_spec_with, engine_for_with, ConsistencyChecker, Engine, Event, EventId,
-    EventKind, History, IsolationLevel, LevelSpec, TxId, VarTable, DELTA_LOG_CAPACITY,
+    EventKind, History, IsolationLevel, LevelSpec, SessionId, TxId, VarTable, DELTA_LOG_CAPACITY,
 };
 use txdpor_program::{initial_history, oracle_next, Program, SchedulerStep, TxStep};
 
@@ -91,6 +92,33 @@ fn churn_wr_edges(h: &mut History, rng: &mut StdRng) {
         h.set_wr(read, writers[rng.gen_range(0..writers.len())]);
         h.unset_wr(read);
         h.set_wr(read, writers[rng.gen_range(0..writers.len())]);
+    }
+}
+
+/// A `pop_doomed`-style descent: up to `steps` times, takes the last event
+/// from the last transaction of a random session that no read reads from —
+/// unsetting a read's wr dependency before popping it, and retracting a
+/// begin-only transaction whole. No read is left reading from a removed
+/// event, as in the explorer's doomed suffixes.
+fn descend(h: &mut History, steps: usize, rng: &mut StdRng) {
+    for _ in 0..steps {
+        let unread: Vec<(SessionId, TxId)> = h
+            .sessions()
+            .filter_map(|(s, txs)| txs.last().map(|t| (s, *t)))
+            .filter(|(_, t)| h.wr().all(|(_, w)| w != *t))
+            .collect();
+        if unread.is_empty() {
+            return;
+        }
+        let (s, t) = unread[rng.gen_range(0..unread.len())];
+        let events = &h.tx(t).events;
+        if events.len() == 1 {
+            h.retract_begin(s);
+        } else {
+            let last = events[events.len() - 1].id;
+            h.unset_wr(last);
+            h.pop_event(s);
+        }
     }
 }
 
@@ -192,7 +220,8 @@ proptest! {
 
     #[test]
     fn incremental_engines_match_fresh_engines(
-        (app_idx, seed, prefix, muts) in (0usize..5, 1u64..1000, 0usize..12, 1usize..10)
+        (app_idx, seed, prefix, muts, descent) in
+            (0usize..5, 1u64..1000, 0usize..12, 1usize..10, 1usize..24)
     ) {
         let app = App::ALL[app_idx];
         let program = client_program(&WorkloadConfig {
@@ -233,6 +262,19 @@ proptest! {
         }
         churn_wr_edges(&mut h, &mut rng);
         fleet.assert_agree(&h);
+
+        // Descend under a nested checkpoint, checking at every step, and
+        // roll the descent back.
+        let inner_snapshot = h.clone();
+        let inner = h.checkpoint();
+        for _ in 0..descent {
+            descend(&mut h, 1, &mut rng);
+            fleet.assert_agree(&h);
+        }
+        h.rollback(inner);
+        prop_assert_eq!(&h, &inner_snapshot);
+        fleet.assert_agree(&h);
+
         h.rollback(mark);
         prop_assert_eq!(&h, &snapshot);
         fleet.assert_agree(&h);

@@ -8,15 +8,18 @@
 //! maintained rolling hash the consistency-engine memos key on
 //! (`live_hash()`). Each case replays a random scheduler walk of a random
 //! app workload, checkpoints at a random depth, keeps walking (with extra
-//! set/unset churn on wr edges), rolls back and compares against a
-//! snapshot clone.
+//! set/unset churn on wr edges), then descends under a nested checkpoint
+//! the way the explorer pops a doomed suffix (`unset_wr`, `pop_event`,
+//! `retract_begin`). Both rollbacks are compared against snapshot clones,
+//! and each must emit exactly the inverses of the mutations it undoes,
+//! newest first.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use txdpor_apps::workload::{client_program, App, WorkloadConfig};
-use txdpor_history::{Event, EventId, EventKind, History, TxId, VarTable};
+use txdpor_history::{Event, EventId, EventKind, History, HistoryDelta, SessionId, TxId, VarTable};
 use txdpor_program::{initial_history, oracle_next, Program, SchedulerStep, TxStep};
 
 /// Applies one scheduler step to the history, choosing the wr source of
@@ -88,12 +91,54 @@ fn churn_wr_edges(h: &mut History, rng: &mut StdRng) {
     }
 }
 
+/// A `pop_doomed`-style descent: up to `steps` times, takes the last event
+/// from the last transaction of a random session that no read reads from —
+/// unsetting a read's wr dependency before popping it, and retracting a
+/// begin-only transaction whole. No read is left reading from a removed
+/// event, as in the explorer's doomed suffixes.
+fn descend(h: &mut History, steps: usize, rng: &mut StdRng) {
+    for _ in 0..steps {
+        let unread: Vec<(SessionId, TxId)> = h
+            .sessions()
+            .filter_map(|(s, txs)| txs.last().map(|t| (s, *t)))
+            .filter(|(_, t)| h.wr().all(|(_, w)| w != *t))
+            .collect();
+        if unread.is_empty() {
+            return;
+        }
+        let (s, t) = unread[rng.gen_range(0..unread.len())];
+        let events = &h.tx(t).events;
+        if events.len() == 1 {
+            h.retract_begin(s);
+        } else {
+            let last = events[events.len() - 1].id;
+            h.unset_wr(last);
+            h.pop_event(s);
+        }
+    }
+}
+
+/// The deltas emitted since generation `gen`.
+fn deltas_since(h: &History, gen: u64) -> Vec<HistoryDelta> {
+    h.deltas_since(gen)
+        .expect("the window holds one case's deltas")
+        .copied()
+        .collect()
+}
+
+/// The deltas a rollback of `forward` must emit: their inverses, newest
+/// first.
+fn undo_of(forward: &[HistoryDelta]) -> Vec<HistoryDelta> {
+    forward.iter().rev().map(|d| d.inverse()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
     fn rollback_restores_histories_from_app_workloads(
-        (app_idx, seed, prefix, muts) in (0usize..5, 1u64..1000, 0usize..14, 1usize..12)
+        (app_idx, seed, prefix, muts, descent) in
+            (0usize..5, 1u64..1000, 0usize..14, 1usize..12, 1usize..24)
     ) {
         let app = App::ALL[app_idx];
         let program = client_program(&WorkloadConfig {
@@ -116,6 +161,7 @@ proptest! {
         // Snapshot, checkpoint, keep mutating, churn wr edges, roll back.
         let snapshot = h.clone();
         let mark = h.checkpoint();
+        let marked = h.generation();
         let mut progressed = false;
         for _ in 0..muts {
             if !apply_random_step(&program, &mut h, &mut vars, &mut rng) {
@@ -127,7 +173,28 @@ proptest! {
         if progressed {
             prop_assert!(h != snapshot || h.num_events() == snapshot.num_events());
         }
+
+        // Descend under a nested checkpoint, then roll the descent back.
+        let outer_forward = deltas_since(&h, marked);
+        let inner_snapshot = h.clone();
+        let inner = h.checkpoint();
+        let inner_marked = h.generation();
+        descend(&mut h, descent, &mut rng);
+        let forward = deltas_since(&h, inner_marked);
+        let undone = h.generation();
+        h.rollback(inner);
+        prop_assert_eq!(deltas_since(&h, undone), undo_of(&forward));
+        prop_assert_eq!(&h, &inner_snapshot);
+        prop_assert_eq!(h.live_hash(), inner_snapshot.live_hash());
+        prop_assert_eq!(h.fingerprint_hash(), inner_snapshot.fingerprint_hash());
+        prop_assert_eq!(h.fingerprint(), inner_snapshot.fingerprint());
+        prop_assert_eq!(h.max_event_id(), inner_snapshot.max_event_id());
+        prop_assert_eq!(h.max_tx_id(), inner_snapshot.max_tx_id());
+        prop_assert_eq!(h.num_pending(), inner_snapshot.num_pending());
+
+        let undone = h.generation();
         h.rollback(mark);
+        prop_assert_eq!(deltas_since(&h, undone), undo_of(&outer_forward));
 
         prop_assert_eq!(&h, &snapshot);
         prop_assert_eq!(h.live_hash(), snapshot.live_hash());

@@ -16,15 +16,29 @@
 //!
 //! Usage: `cargo run --release -p txdpor-bench --bin bench_gate --
 //! [--baseline BENCH_fig14.json] [--timeout <s>] [--apps courseware]`
+//!
+//! With `--parallel <fig14.json>` it re-runs nothing and instead compares
+//! the `CC parN` rows of that fig14 document with its serial `CC` rows
+//! (see [`txdpor_bench::gate::compare_parallel`]): counts must be
+//! bit-identical and the average speedup over rows whose serial run took
+//! at least `--min-serial-secs` must reach `--min-speedup`. The summary is
+//! printed and written to `--out`. Exit status: 0 on success, 1 on a count
+//! mismatch or insufficient speedup, 2 on malformed input.
+//! `cargo run --release -p txdpor-bench --bin bench_gate -- --parallel
+//! BENCH_fig14_par4.json [--workers 4] [--min-speedup 1.5]
+//! [--min-serial-secs 2] [--out parallel_comparison.txt]`
 
 use std::time::Duration;
 
-use txdpor_bench::gate::{algorithm_for_label, baseline_rows, compare};
+use txdpor_bench::gate::{algorithm_for_label, baseline_rows, compare, compare_parallel};
 use txdpor_bench::json::JsonValue;
 use txdpor_bench::{experiment_fig14_with, flag_value, ExperimentOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(path) = flag_value(&args, "--parallel") {
+        std::process::exit(parallel_gate(&args, &path));
+    }
     let baseline_path =
         flag_value(&args, "--baseline").unwrap_or_else(|| "BENCH_fig14.json".to_owned());
     let apps = flag_value(&args, "--apps").unwrap_or_else(|| "courseware".to_owned());
@@ -101,5 +115,44 @@ fn main() {
     print!("{}", report.render(&baseline_path));
     if !report.ok() {
         std::process::exit(1);
+    }
+}
+
+/// The `--parallel` mode; returns the exit status.
+fn parallel_gate(args: &[String], path: &str) -> i32 {
+    let number = |flag: &str, default: f64| -> Option<f64> {
+        flag_value(args, flag).map_or(Some(default), |v| v.parse().ok())
+    };
+    let workers = flag_value(args, "--workers").map_or(Some(4), |v| v.parse::<usize>().ok());
+    let (Some(workers), Some(min_speedup), Some(min_serial_secs)) = (
+        workers,
+        number("--min-speedup", 1.5),
+        number("--min-serial-secs", 2.0),
+    ) else {
+        eprintln!("bench_gate: --workers, --min-speedup and --min-serial-secs take numbers");
+        return 2;
+    };
+    let out = flag_value(args, "--out").unwrap_or_else(|| "parallel_comparison.txt".to_owned());
+    let report = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| JsonValue::parse(&text))
+        .and_then(|doc| compare_parallel(&doc, workers, min_speedup, min_serial_secs));
+    let report = match report {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("bench_gate: cannot compare {path}: {e}");
+            return 2;
+        }
+    };
+    let text = report.render(path);
+    print!("{text}");
+    if let Err(e) = std::fs::write(&out, &text) {
+        eprintln!("bench_gate: cannot write {out}: {e}");
+        return 2;
+    }
+    if report.ok() {
+        0
+    } else {
+        1
     }
 }

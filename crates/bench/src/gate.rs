@@ -15,6 +15,11 @@
 //!   gated sub-suite;
 //! * every re-run row must keep the engine and explorer invariants (see
 //!   [`invariant_failures`]), whatever the baseline says.
+//!
+//! [`compare_parallel`] checks one fig14 document instead of re-running:
+//! its `CC parN` rows against its serial `CC` rows.
+
+use std::collections::BTreeMap;
 
 use crate::harness::{Algorithm, Measurement};
 use crate::json::JsonValue;
@@ -342,6 +347,157 @@ pub fn invariant_failures(m: &Measurement) -> Vec<String> {
     failures
 }
 
+/// The serial `CC` rows of one fig14 document against its `CC parN` rows
+/// (see [`compare_parallel`]).
+#[derive(Clone, Debug, Default)]
+pub struct ParallelReport {
+    /// The parallel rows' algorithm label (`CC par4`).
+    pub label: String,
+    /// One line per compared benchmark, then the average speedup.
+    pub lines: Vec<String>,
+    /// Count mismatches, benchmarks without a serial row, and an average
+    /// speedup below the required one.
+    pub failures: Vec<String>,
+}
+
+impl ParallelReport {
+    /// Whether the comparison passes.
+    pub fn ok(&self) -> bool {
+        self.failures.is_empty()
+    }
+
+    /// The summary of the comparison of the document at `path`: the
+    /// compared rows, then one `FAIL` line per failure.
+    pub fn render(&self, path: &str) -> String {
+        let mut out = format!("serial CC vs {} ({path})\n\n", self.label);
+        for line in &self.lines {
+            out.push_str(line);
+            out.push('\n');
+        }
+        for failure in &self.failures {
+            out.push_str(&format!("FAIL {failure}\n"));
+        }
+        out
+    }
+}
+
+/// Compares the `CC par{workers}` rows of a fig14 document with the serial
+/// `CC` rows of the same benchmarks, the parallel exploration's contract.
+/// The deterministic counts (`histories`, `end_states`, `explore_calls`)
+/// must be bit-identical. The wall-clock speedup, averaged over the
+/// benchmarks whose serial run took at least `min_serial_secs` (on shorter
+/// rows scheduling overhead drowns the signal), must reach `min_speedup`.
+/// Rows where either run timed out are listed and not compared.
+///
+/// # Errors
+///
+/// Returns a message when the document has no `rows` array, no
+/// `CC par{workers}` row, or a compared row lacks a field.
+pub fn compare_parallel(
+    doc: &JsonValue,
+    workers: usize,
+    min_speedup: f64,
+    min_serial_secs: f64,
+) -> Result<ParallelReport, String> {
+    let rows = doc
+        .get("rows")
+        .and_then(JsonValue::as_array)
+        .ok_or("no \"rows\" array")?;
+    let label = format!("CC par{workers}");
+    let by_benchmark = |algorithm: &str| -> BTreeMap<&str, &JsonValue> {
+        rows.iter()
+            .filter(|r| r.get("algorithm").and_then(JsonValue::as_str) == Some(algorithm))
+            .filter_map(|r| Some((r.get("benchmark")?.as_str()?, r)))
+            .collect()
+    };
+    let serial = by_benchmark("CC");
+    let parallel = by_benchmark(&label);
+    if parallel.is_empty() {
+        return Err(format!("no {label:?} rows"));
+    }
+    let field = |bench: &str, r: &JsonValue, key: &str| -> Result<JsonValue, String> {
+        r.get(key)
+            .cloned()
+            .ok_or_else(|| format!("{bench}: a row lacks {key:?}"))
+    };
+    let secs = |bench: &str, r: &JsonValue| -> Result<f64, String> {
+        field(bench, r, "time_secs")?
+            .as_f64()
+            .ok_or_else(|| format!("{bench}: \"time_secs\" is not a number"))
+    };
+    let timed_out = |bench: &str, r: &JsonValue| -> Result<bool, String> {
+        field(bench, r, "timed_out")?
+            .as_bool()
+            .ok_or_else(|| format!("{bench}: \"timed_out\" is not a boolean"))
+    };
+    let mut report = ParallelReport {
+        label: label.clone(),
+        ..ParallelReport::default()
+    };
+    let mut ratios = Vec::new();
+    for (bench, par) in &parallel {
+        let Some(ser) = serial.get(bench) else {
+            report
+                .failures
+                .push(format!("{bench}: has a {label} row but no serial CC row"));
+            continue;
+        };
+        let (ser_out, par_out) = (timed_out(bench, ser)?, timed_out(bench, par)?);
+        if ser_out || par_out {
+            report.lines.push(format!(
+                "{bench}: timed out (serial={ser_out}, parallel={par_out}); not compared"
+            ));
+            continue;
+        }
+        for key in ["histories", "end_states", "explore_calls"] {
+            let (want, got) = (field(bench, ser, key)?, field(bench, par, key)?);
+            if want != got {
+                report.failures.push(format!(
+                    "{bench}: {key} differs (serial {want}, parallel {got})"
+                ));
+            }
+        }
+        let (ser_secs, par_secs) = (secs(bench, ser)?, secs(bench, par)?);
+        let ratio = ser_secs / par_secs.max(1e-9);
+        let gated = ser_secs >= min_serial_secs;
+        if gated {
+            ratios.push(ratio);
+        }
+        let shown = |key: &str| par.get(key).map_or("-".to_owned(), JsonValue::to_string);
+        report.lines.push(format!(
+            "{bench}: serial {ser_secs:.3}s, parallel {par_secs:.3}s -> {ratio:.2}x \
+             (workers={}, steals={}, shared_memo_hits={}){}",
+            shown("workers"),
+            shown("steals"),
+            shown("shared_memo_hits"),
+            if gated {
+                ""
+            } else {
+                " [below --min-serial-secs; not speedup-gated]"
+            }
+        ));
+    }
+    report.lines.push(String::new());
+    if ratios.is_empty() {
+        report
+            .lines
+            .push("no benchmark met --min-serial-secs; speedup not gated".to_owned());
+    } else {
+        let average = ratios.iter().sum::<f64>() / ratios.len() as f64;
+        report.lines.push(format!(
+            "average speedup over {} gated benchmark(s): {average:.2}x \
+             (required >= {min_speedup:.2}x)",
+            ratios.len()
+        ));
+        if average < min_speedup {
+            report.failures.push(format!(
+                "average speedup {average:.2}x is below the required {min_speedup:.2}x"
+            ));
+        }
+    }
+    Ok(report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -630,5 +786,107 @@ mod tests {
             assert_eq!(algorithm_for_label(&algo.label()), Some(algo));
         }
         assert_eq!(algorithm_for_label("CC + mix:unknown"), None);
+    }
+
+    /// A fig14 document of `(benchmark, algorithm, explore_calls,
+    /// time_secs, timed_out)` rows, each with 3 histories and end states.
+    fn fig14_doc(rows: &[(&str, &str, i64, f64, bool)]) -> JsonValue {
+        let rows = rows
+            .iter()
+            .map(|(bench, algorithm, calls, secs, timed_out)| {
+                JsonValue::Object(vec![
+                    ("benchmark".into(), JsonValue::str(*bench)),
+                    ("algorithm".into(), JsonValue::str(*algorithm)),
+                    ("histories".into(), JsonValue::Int(3)),
+                    ("end_states".into(), JsonValue::Int(3)),
+                    ("explore_calls".into(), JsonValue::Int(*calls)),
+                    ("time_secs".into(), JsonValue::Float(*secs)),
+                    ("workers".into(), JsonValue::Int(4)),
+                    ("timed_out".into(), JsonValue::Bool(*timed_out)),
+                ])
+            })
+            .collect();
+        JsonValue::Object(vec![("rows".into(), JsonValue::Array(rows))])
+    }
+
+    #[test]
+    fn parallel_rows_with_equal_counts_and_enough_speedup_pass() {
+        let doc = fig14_doc(&[
+            ("tpcc-1", "CC", 100, 4.0, false),
+            ("tpcc-1", "CC par4", 100, 2.0, false),
+            ("tpcc-2", "CC", 50, 6.0, false),
+            ("tpcc-2", "CC par4", 50, 3.0, false),
+        ]);
+        let report = compare_parallel(&doc, 4, 1.5, 2.0).unwrap();
+        assert!(report.ok(), "{:?}", report.failures);
+        assert!(report
+            .render("fig14.json")
+            .contains("average speedup over 2 gated benchmark(s): 2.00x"));
+    }
+
+    #[test]
+    fn parallel_count_mismatch_fails() {
+        let doc = fig14_doc(&[
+            ("tpcc-1", "CC", 100, 4.0, false),
+            ("tpcc-1", "CC par4", 99, 1.0, false),
+        ]);
+        let report = compare_parallel(&doc, 4, 1.5, 2.0).unwrap();
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("explore_calls differs (serial 100, parallel 99)"));
+    }
+
+    #[test]
+    fn parallel_speedup_is_averaged_over_rows_of_at_least_min_serial_secs() {
+        // The sub-second row would pull the average to 1.0x; only the
+        // gated row counts, and it is too slow.
+        let doc = fig14_doc(&[
+            ("tpcc-1", "CC", 100, 4.0, false),
+            ("tpcc-1", "CC par4", 100, 3.2, false),
+            ("tpcc-2", "CC", 50, 0.5, false),
+            ("tpcc-2", "CC par4", 50, 0.05, false),
+        ]);
+        let report = compare_parallel(&doc, 4, 1.5, 2.0).unwrap();
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("average speedup 1.25x"));
+        assert!(report.render("fig14.json").contains("not speedup-gated"));
+        // With no gated row the speedup is not checked at all.
+        let report = compare_parallel(&doc, 4, 1.5, 10.0).unwrap();
+        assert!(report.ok(), "{:?}", report.failures);
+    }
+
+    #[test]
+    fn parallel_timeouts_are_skipped_and_missing_serial_rows_fail() {
+        let doc = fig14_doc(&[
+            ("tpcc-1", "CC", 100, 60.0, true),
+            ("tpcc-1", "CC par4", 90, 60.0, true),
+            ("tpcc-2", "CC par4", 50, 1.0, false),
+        ]);
+        let report = compare_parallel(&doc, 4, 1.5, 2.0).unwrap();
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("tpcc-2: has a CC par4 row but no serial CC row"));
+        assert!(report.render("fig14.json").contains("tpcc-1: timed out"));
+    }
+
+    #[test]
+    fn parallel_comparison_rejects_malformed_documents() {
+        let doc = fig14_doc(&[("tpcc-1", "CC", 100, 4.0, false)]);
+        assert!(compare_parallel(&doc, 4, 1.5, 2.0)
+            .unwrap_err()
+            .contains("no \"CC par4\" rows"));
+        assert!(compare_parallel(&JsonValue::Null, 4, 1.5, 2.0).is_err());
+        let doc = JsonValue::parse(
+            r#"{"rows":[{"benchmark":"b","algorithm":"CC par2","timed_out":false}]}"#,
+        )
+        .unwrap();
+        // The serial row is missing: a failure, not malformed input.
+        assert!(!compare_parallel(&doc, 2, 1.5, 2.0).unwrap().ok());
+        let doc = JsonValue::parse(
+            r#"{"rows":[{"benchmark":"b","algorithm":"CC","timed_out":false},
+                        {"benchmark":"b","algorithm":"CC par2","timed_out":false}]}"#,
+        )
+        .unwrap();
+        assert!(compare_parallel(&doc, 2, 1.5, 2.0)
+            .unwrap_err()
+            .contains("lacks \"histories\""));
     }
 }

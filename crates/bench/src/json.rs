@@ -66,6 +66,15 @@ impl JsonValue {
         }
     }
 
+    /// The numeric payload (integers included).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Int(i) => Some(*i as f64),
+            JsonValue::Float(x) => Some(*x),
+            _ => None,
+        }
+    }
+
     /// The string payload.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -199,12 +199,12 @@ impl RebuildCauses {
         *match cause {
             RebuildCause::FirstSync => &mut self.first_sync,
             RebuildCause::Window => &mut self.window,
-            RebuildCause::Delta(HistoryDelta::Begin { .. }) => &mut self.begin,
-            RebuildCause::Delta(HistoryDelta::UndoBegin { .. }) => &mut self.undo_begin,
-            RebuildCause::Delta(HistoryDelta::Append { .. }) => &mut self.append,
-            RebuildCause::Delta(HistoryDelta::Pop { .. }) => &mut self.pop,
-            RebuildCause::Delta(HistoryDelta::SetWr { .. }) => &mut self.set_wr,
-            RebuildCause::Delta(HistoryDelta::UnsetWr { .. }) => &mut self.unset_wr,
+            RebuildCause::Delta(HistoryDelta::Begin(_)) => &mut self.begin,
+            RebuildCause::Delta(HistoryDelta::UndoBegin(_)) => &mut self.undo_begin,
+            RebuildCause::Delta(HistoryDelta::Append(_)) => &mut self.append,
+            RebuildCause::Delta(HistoryDelta::Pop(_)) => &mut self.pop,
+            RebuildCause::Delta(HistoryDelta::SetWr(_)) => &mut self.set_wr,
+            RebuildCause::Delta(HistoryDelta::UnsetWr(_)) => &mut self.unset_wr,
         } += 1;
     }
 

@@ -7,14 +7,17 @@
 //! (variable + writer) and visible writes. [`FrontierIndex`] keeps that
 //! view synced to a history the same way [`crate::check::weak::WeakIndex`]
 //! does, replaying [`History::deltas_since`]. Unlike the weak index it
-//! needs no undo journal: every delta (and every inverse delta emitted by a
-//! rollback) is directly invertible from the per-transaction write counts,
-//! so the sync never falls back to a rebuild for replayable windows. The
-//! *search* itself still runs per check — only the index construction is
-//! amortised.
+//! needs no undo journal: a delta, or an inverse delta emitted by a
+//! rollback, is undone from the per-transaction write counts and read
+//! lists. One delta is not replayable: an `UndoBegin` of a transaction
+//! that is not the last slot, since removing it would renumber the slots
+//! after it. [`History::retract_begin`] produces those when the explorer's
+//! doomed-suffix descent retracts a transaction begun before others, and
+//! they cause nearly all of this index's rebuilds. The *search* itself
+//! still runs per check — only the index construction is amortised.
 
 use crate::check::engine::RebuildCause;
-use crate::history::{DeltaEventInfo, History, HistoryDelta};
+use crate::history::{DeltaEventInfo, EventDelta, History, HistoryDelta, TxDelta, WrDelta};
 use crate::transaction::TxId;
 use crate::value::Var;
 
@@ -169,7 +172,7 @@ impl FrontierIndex {
 
     fn apply(&mut self, d: &HistoryDelta) -> bool {
         match *d {
-            HistoryDelta::Begin { session, tx } => {
+            HistoryDelta::Begin(TxDelta { session, tx, .. }) => {
                 let slot = self.reads.len() as u32;
                 if self.index.len() <= tx.0 as usize {
                     self.index.resize(tx.0 as usize + 1, u32::MAX);
@@ -184,9 +187,11 @@ impl FrontierIndex {
                 self.aborted.push(false);
                 true
             }
-            HistoryDelta::UndoBegin { session, tx } => {
-                // By journal LIFO ordering the transaction is the last slot
-                // and its log is begin-only (all reads/writes popped).
+            HistoryDelta::UndoBegin(TxDelta { session, tx, .. }) => {
+                // The transaction's log is begin-only (all reads and writes
+                // popped). A rolled-back `Begin` is the last slot; a
+                // retracted transaction need not be, and then the index
+                // rebuilds rather than renumber the slots after it.
                 if self.sessions[session.0 as usize].pop() != Some((tx, self.len() as u32 - 1)) {
                     return false;
                 }
@@ -196,7 +201,7 @@ impl FrontierIndex {
                 self.index[tx.0 as usize] = u32::MAX;
                 reads.is_empty() && writes.is_empty()
             }
-            HistoryDelta::Append { tx, info, po, .. } => {
+            HistoryDelta::Append(EventDelta { tx, info, po, .. }) => {
                 let slot = self.index[tx.0 as usize];
                 match info {
                     DeltaEventInfo::Read(_) | DeltaEventInfo::Commit => {}
@@ -205,7 +210,7 @@ impl FrontierIndex {
                 }
                 true
             }
-            HistoryDelta::Pop { tx, info, .. } => {
+            HistoryDelta::Pop(EventDelta { tx, info, .. }) => {
                 let slot = self.index[tx.0 as usize];
                 match info {
                     DeltaEventInfo::Read(_) | DeltaEventInfo::Commit => {}
@@ -223,26 +228,26 @@ impl FrontierIndex {
                 }
                 true
             }
-            HistoryDelta::SetWr {
+            HistoryDelta::SetWr(WrDelta {
                 reader,
                 writer,
                 var,
                 po,
                 ..
-            } => {
+            }) => {
                 let slot = self.index[reader.0 as usize];
                 if !self.is_internal(slot, var, po) {
                     self.reads[slot as usize].push((var, writer));
                 }
                 true
             }
-            HistoryDelta::UnsetWr {
+            HistoryDelta::UnsetWr(WrDelta {
                 reader,
                 writer,
                 var,
                 po,
                 ..
-            } => {
+            }) => {
                 let slot = self.index[reader.0 as usize];
                 if self.is_internal(slot, var, po) {
                     return true;

@@ -63,7 +63,7 @@
 //! [`Engine`]: crate::check::engine::Engine
 
 use crate::check::engine::RebuildCause;
-use crate::history::{DeltaEventInfo, History, HistoryDelta};
+use crate::history::{DeltaEventInfo, EventDelta, History, HistoryDelta, TxDelta, WrDelta};
 use crate::isolation::{IsolationLevel, LevelSpec};
 use crate::relations::{ones, BitMatrix};
 use crate::transaction::TxId;
@@ -548,11 +548,11 @@ impl WeakIndex {
     /// index may be left half-updated and must not be used before then).
     fn apply(&mut self, d: &HistoryDelta) -> bool {
         match *d {
-            HistoryDelta::Begin { session, tx } => {
+            HistoryDelta::Begin(TxDelta { session, tx, .. }) => {
                 self.apply_begin(session.0, tx);
                 true
             }
-            HistoryDelta::UndoBegin { tx, .. } => match self.undo.last() {
+            HistoryDelta::UndoBegin(TxDelta { tx, .. }) => match self.undo.last() {
                 Some(UndoRec::Begin { tx: t }) if *t == tx.0 => {
                     self.undo.pop();
                     self.undo_begin();
@@ -570,9 +570,9 @@ impl WeakIndex {
                 // renumbering: rebuild instead.
                 _ => false,
             },
-            HistoryDelta::Append {
+            HistoryDelta::Append(EventDelta {
                 event, info, tx, ..
-            } => {
+            }) => {
                 let Some(&v) = self.index.get(tx.0 as usize) else {
                     return false;
                 };
@@ -600,9 +600,9 @@ impl WeakIndex {
                 });
                 true
             }
-            HistoryDelta::Pop {
+            HistoryDelta::Pop(EventDelta {
                 event, tx, info, ..
-            } => match self.undo.last() {
+            }) => match self.undo.last() {
                 Some(UndoRec::Append { event: e, .. }) if *e == event.0 => {
                     let Some(UndoRec::Append { kind, .. }) = self.undo.pop() else {
                         unreachable!()
@@ -614,20 +614,20 @@ impl WeakIndex {
                 None => self.destructive_pop(tx, info),
                 Some(_) => false,
             },
-            HistoryDelta::SetWr {
+            HistoryDelta::SetWr(WrDelta {
                 read,
                 reader,
                 writer,
                 var,
                 po,
-            } => self.apply_set_wr(read.0, reader, writer, var, po),
-            HistoryDelta::UnsetWr {
+            }) => self.apply_set_wr(read.0, reader, writer, var, po),
+            HistoryDelta::UnsetWr(WrDelta {
                 read,
                 reader,
                 writer,
                 po,
                 ..
-            } => match self.undo.last() {
+            }) => match self.undo.last() {
                 Some(UndoRec::SetWr { read: r, .. }) if *r == read.0 => {
                     let Some(UndoRec::SetWr {
                         so_wr_was_set,

@@ -33,6 +33,13 @@
 //! explore-ce traversal keeps one open per node on its path, and the
 //! `ValidWrites`, `readLatest` and `Optimality` trials open theirs inside.
 //! [`History::clone_at`] copies the history as it was at an open mark.
+//!
+//! The journal records each mutation as the [`HistoryDelta`] the
+//! consistency engines observe, plus the id high-water marks before it;
+//! a popped event, whose written value the delta omits, waits on a side
+//! stack. Each of the six mutations has one implementation, which serves
+//! its public mutator and [`History::rollback`] alike: rolling back applies
+//! and emits each entry's [`HistoryDelta::inverse`], newest first.
 //! A rolling structural hash ([`History::live_hash`]) is maintained
 //! incrementally across all mutations so that memoised consistency engines
 //! obtain their key in O(1) instead of re-walking the history.
@@ -41,7 +48,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::arena::{IdMap, TxSet, NONE};
+use crate::arena::{IdMap, TxSet};
 use crate::event::{Event, EventId, EventKind};
 use crate::transaction::{SessionId, TransactionLog, TxId};
 use crate::value::{Value, Var, VarTable};
@@ -54,7 +61,19 @@ pub struct WrTrial {
     reader: TxId,
     var: Var,
     po: u32,
-    key: u64,
+}
+
+impl WrTrial {
+    /// The read's wr edge from `writer`.
+    fn edge(&self, writer: TxId) -> WrDelta {
+        WrDelta {
+            read: self.read,
+            reader: self.reader,
+            writer,
+            var: self.var,
+            po: self.po,
+        }
+    }
 }
 
 /// A checkpoint of a [`History`], restored by [`History::rollback`].
@@ -66,34 +85,13 @@ pub struct HistoryMark {
     journal_len: usize,
 }
 
-/// One recorded mutation, undone (in reverse order) by `rollback`.
-#[derive(Clone, Debug)]
-enum JournalOp {
-    /// A `begin_transaction`: the transaction is the last of `session`.
-    Begin {
-        session: SessionId,
-        prev_max_event: u32,
-        prev_max_tx: u32,
-    },
-    /// An `append_event` to the last transaction of `session`.
-    Append {
-        session: SessionId,
-        prev_max_event: u32,
-    },
-    /// A `pop_event` from the last transaction of `session`; re-pushed on
-    /// rollback.
-    Pop { session: SessionId, event: Event },
-    /// A `set_wr`/`unset_wr` of `read`; `prev` is the raw previous writer
-    /// id ([`NONE`] for absent).
-    SetWr { read: EventId, prev: u32 },
-    /// A `retract_begin`: the begin-only transaction is re-begun on
-    /// rollback.
-    Retract {
-        session: SessionId,
-        tx: TxId,
-        program_index: usize,
-        begin: Event,
-    },
+/// One journaled mutation, undone by `rollback` through its delta's
+/// inverse: the delta and the id high-water marks before it.
+#[derive(Copy, Clone, Debug)]
+struct JournalEntry {
+    delta: HistoryDelta,
+    max_event_id: u32,
+    max_tx_id: u32,
 }
 
 // ----------------------------------------------------------------------
@@ -142,79 +140,91 @@ impl DeltaEventInfo {
     }
 }
 
+/// A begin-only transaction at the end of its session: the payload of
+/// [`HistoryDelta::Begin`] and [`HistoryDelta::UndoBegin`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct TxDelta {
+    /// Session whose last transaction it is.
+    pub session: SessionId,
+    /// Identifier of the transaction.
+    pub tx: TxId,
+    /// Identifier of its begin event, the only event of its log.
+    pub begin: EventId,
+    /// Index of the transaction within its session's program text
+    /// ([`TransactionLog::program_index`]).
+    pub program_index: u32,
+}
+
+/// The po-last event of a transaction: the payload of
+/// [`HistoryDelta::Append`] and [`HistoryDelta::Pop`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct EventDelta {
+    /// Owning transaction, the last of its session.
+    pub tx: TxId,
+    /// Identifier of the event.
+    pub event: EventId,
+    /// Structural summary of the event.
+    pub info: DeltaEventInfo,
+    /// Program-order position of the event within the transaction log.
+    pub po: u32,
+}
+
+/// A wr dependency: the payload of [`HistoryDelta::SetWr`] and
+/// [`HistoryDelta::UnsetWr`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct WrDelta {
+    /// The read event.
+    pub read: EventId,
+    /// Transaction owning the read.
+    pub reader: TxId,
+    /// Transaction the read reads from.
+    pub writer: TxId,
+    /// Variable being read.
+    pub var: Var,
+    /// Program-order position of the read within its transaction log.
+    pub po: u32,
+}
+
 /// One observed mutation of a [`History`], as recorded in the drainable
-/// delta log (see [`History::deltas_since`]). Each primitive mutator emits
-/// exactly one delta; a [`History::rollback`] emits the *inverse* deltas of
-/// the operations it undoes, so the log is always a faithful chronological
-/// account of the history's evolution. Every delta is self-contained:
-/// observers never need to query the history for an entity that a later
-/// delta in the same window may have removed again.
+/// delta log (see [`History::deltas_since`]) and in the undo journal. Each
+/// primitive mutator emits exactly one delta (a wr replacement is an
+/// `UnsetWr` followed by a `SetWr`); a [`History::rollback`] emits the
+/// [`inverse`](HistoryDelta::inverse) of each delta it undoes, newest
+/// first, so the log is always a faithful chronological account of the
+/// history's evolution. Every delta is self-contained: observers never need
+/// to query the history for an entity that a later delta in the same
+/// window may have removed again.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum HistoryDelta {
-    /// A transaction began (its log holds only the begin event).
-    Begin {
-        /// Session the transaction was appended to.
-        session: SessionId,
-        /// Identifier of the new transaction.
-        tx: TxId,
-    },
-    /// A `Begin` was rolled back (the transaction is gone again; by journal
-    /// LIFO ordering it was the most recently begun live transaction).
-    UndoBegin {
-        /// Session the transaction was removed from.
-        session: SessionId,
-        /// Identifier of the removed transaction.
-        tx: TxId,
-    },
-    /// An event was appended to the (pending) transaction `tx`.
-    Append {
-        /// Owning transaction.
-        tx: TxId,
-        /// Identifier of the appended event.
-        event: EventId,
-        /// Structural summary of the event.
-        info: DeltaEventInfo,
-        /// Program-order position of the event within the transaction log.
-        po: u32,
-    },
-    /// The po-last event of `tx` was popped again.
-    Pop {
-        /// Owning transaction.
-        tx: TxId,
-        /// Identifier of the popped event.
-        event: EventId,
-        /// Structural summary of the event.
-        info: DeltaEventInfo,
-        /// Program-order position the event had within the transaction log.
-        po: u32,
-    },
-    /// The read acquired a wr dependency on `writer` (it had none before; a
-    /// replacement is logged as an `UnsetWr` followed by a `SetWr`).
-    SetWr {
-        /// The read event.
-        read: EventId,
-        /// Transaction owning the read.
-        reader: TxId,
-        /// Transaction the read now reads from.
-        writer: TxId,
-        /// Variable being read.
-        var: Var,
-        /// Program-order position of the read within its transaction log.
-        po: u32,
-    },
-    /// The read's wr dependency on `writer` was removed.
-    UnsetWr {
-        /// The read event.
-        read: EventId,
-        /// Transaction owning the read.
-        reader: TxId,
-        /// Transaction the read used to read from.
-        writer: TxId,
-        /// Variable being read.
-        var: Var,
-        /// Program-order position of the read within its transaction log.
-        po: u32,
-    },
+    /// A transaction began: it is the last of its session, and its log
+    /// holds only its begin event.
+    Begin(TxDelta),
+    /// A begin-only transaction, the last of its session, was removed: a
+    /// `Begin` rolled back, or a [`History::retract_begin`]. A retracted
+    /// transaction need not be the most recently begun one.
+    UndoBegin(TxDelta),
+    /// An event was appended to the (pending) transaction.
+    Append(EventDelta),
+    /// The po-last event of the transaction was popped.
+    Pop(EventDelta),
+    /// The read acquired a wr dependency (it had none before).
+    SetWr(WrDelta),
+    /// The read's wr dependency was removed.
+    UnsetWr(WrDelta),
+}
+
+impl HistoryDelta {
+    /// The mutation that undoes this one. `inverse` is an involution.
+    pub fn inverse(self) -> HistoryDelta {
+        match self {
+            HistoryDelta::Begin(t) => HistoryDelta::UndoBegin(t),
+            HistoryDelta::UndoBegin(t) => HistoryDelta::Begin(t),
+            HistoryDelta::Append(e) => HistoryDelta::Pop(e),
+            HistoryDelta::Pop(e) => HistoryDelta::Append(e),
+            HistoryDelta::SetWr(w) => HistoryDelta::UnsetWr(w),
+            HistoryDelta::UnsetWr(w) => HistoryDelta::SetWr(w),
+        }
+    }
 }
 
 /// A history `⟨T, so, wr⟩` (Definition 2.1).
@@ -245,7 +255,9 @@ pub struct History {
     /// Rolling structural hash, updated on every mutation.
     hash: (u64, u64),
     /// Undo journal; only recording while a checkpoint is outstanding.
-    journal: Vec<JournalOp>,
+    journal: Vec<JournalEntry>,
+    /// The events removed by the journal's `Pop` entries, oldest first.
+    popped: Vec<Event>,
     /// Number of outstanding checkpoints.
     journal_depth: u32,
     /// Identity of this history instance (fresh per `new`/`clone`), used by
@@ -376,6 +388,7 @@ impl History {
             max_event_id: 0,
             hash: HASH_SEED,
             journal: Vec::new(),
+            popped: Vec::new(),
             journal_depth: 0,
             uid: NEXT_HISTORY_UID.fetch_add(1, Ordering::Relaxed),
             delta_base: 0,
@@ -449,8 +462,9 @@ impl History {
     ///
     /// Panics if the id is [`TxId::INIT`] or unknown.
     pub fn tx(&self, id: TxId) -> &TransactionLog {
-        self.get_tx(id)
-            .unwrap_or_else(|| panic!("unknown transaction {id}"))
+        let log = self.get_tx(id);
+        assert!(log.is_some(), "unknown transaction {id}");
+        log.expect("asserted above")
     }
 
     /// The transaction log with the given id, if it exists (never for init).
@@ -501,6 +515,13 @@ impl History {
         self.sessions
             .get(s.0 as usize)
             .and_then(|v| v.last().copied())
+    }
+
+    /// The last transaction of a session the caller mutates.
+    fn last_tx(&self, s: SessionId) -> TxId {
+        let tx = self.last_tx_of_session(s);
+        assert!(tx.is_some(), "session {s} has no transaction");
+        tx.expect("asserted above")
     }
 
     /// Owning transaction of an event.
@@ -560,9 +581,11 @@ impl History {
         }
     }
 
-    /// Undoes every mutation recorded since `mark`, restoring the history
-    /// (structure, relations, counters and rolling hash) to its state at
-    /// [`checkpoint`](History::checkpoint) time.
+    /// Undoes every mutation recorded since `mark`, newest first, restoring
+    /// the history (structure, relations, counters and rolling hash) to its
+    /// state at [`checkpoint`](History::checkpoint) time. Each journal entry
+    /// is undone by applying its delta's
+    /// [`inverse`](HistoryDelta::inverse), which the delta log records too.
     ///
     /// # Panics
     ///
@@ -572,83 +595,16 @@ impl History {
         assert!(self.journal_depth > 0, "rollback without checkpoint");
         assert!(mark.journal_len <= self.journal.len(), "stale history mark");
         while self.journal.len() > mark.journal_len {
-            let op = self.journal.pop().expect("journal entry");
-            match op {
-                JournalOp::Begin {
-                    session,
-                    prev_max_event,
-                    prev_max_tx,
-                } => {
-                    let tx = self.undo_begin(session);
-                    self.max_event_id = prev_max_event;
-                    self.max_tx_id = prev_max_tx;
-                    self.emit(HistoryDelta::UndoBegin { session, tx });
-                }
-                JournalOp::Append {
-                    session,
-                    prev_max_event,
-                } => {
-                    let (tx, po, event) = self.do_pop(session);
-                    self.max_event_id = prev_max_event;
-                    if let Some(info) = DeltaEventInfo::of(&event.kind) {
-                        self.emit(HistoryDelta::Pop {
-                            tx,
-                            event: event.id,
-                            info,
-                            po,
-                        });
-                    }
-                }
-                JournalOp::Pop { session, event } => {
-                    let info = DeltaEventInfo::of(&event.kind);
-                    let id = event.id;
-                    let (tx, po) = self.do_append(session, event);
-                    if let Some(info) = info {
-                        self.emit(HistoryDelta::Append {
-                            tx,
-                            event: id,
-                            info,
-                            po,
-                        });
-                    }
-                }
-                JournalOp::Retract {
-                    session,
-                    tx,
-                    program_index,
-                    begin,
-                } => {
-                    self.do_begin(session, tx, program_index, begin);
-                    self.emit(HistoryDelta::Begin { session, tx });
-                }
-                JournalOp::SetWr { read, prev } => {
-                    let (reader, var, po, key) = self.read_coords_key(read);
-                    if let Some(cur) = self.wr.get(read.0) {
-                        let c = contrib(wr_payload(key, self.tx_coord(TxId(cur))));
-                        xor_into(&mut self.hash, c);
-                        self.wr.clear(read.0);
-                        self.emit(HistoryDelta::UnsetWr {
-                            read,
-                            reader,
-                            writer: TxId(cur),
-                            var,
-                            po,
-                        });
-                    }
-                    if prev != NONE {
-                        self.wr.set(read.0, prev);
-                        let c = contrib(wr_payload(key, self.tx_coord(TxId(prev))));
-                        xor_into(&mut self.hash, c);
-                        self.emit(HistoryDelta::SetWr {
-                            read,
-                            reader,
-                            writer: TxId(prev),
-                            var,
-                            po,
-                        });
-                    }
-                }
-            }
+            let entry = self.journal.pop().expect("journal entry");
+            let undo = entry.delta.inverse();
+            let event = match undo {
+                HistoryDelta::Append(_) => self.popped.pop(),
+                _ => None,
+            };
+            self.apply(undo, event);
+            self.max_event_id = entry.max_event_id;
+            self.max_tx_id = entry.max_tx_id;
+            self.emit(undo);
         }
         self.journal_depth -= 1;
     }
@@ -672,7 +628,13 @@ impl History {
     pub fn clone_at(&self, mark: HistoryMark) -> History {
         assert!(mark.journal_len <= self.journal.len(), "stale history mark");
         let mut copy = self.clone();
-        copy.journal = self.journal[mark.journal_len..].to_vec();
+        let entries = &self.journal[mark.journal_len..];
+        let pops = entries
+            .iter()
+            .filter(|e| matches!(e.delta, HistoryDelta::Pop(_)))
+            .count();
+        copy.journal = entries.to_vec();
+        copy.popped = self.popped[self.popped.len() - pops..].to_vec();
         copy.journal_depth = 1;
         copy.rollback(HistoryMark { journal_len: 0 });
         // Drop the spent journal, and the inverse mutations, which are
@@ -681,13 +643,6 @@ impl History {
         copy.deltas = VecDeque::new();
         copy.delta_base = 0;
         copy
-    }
-
-    #[inline]
-    fn record(&mut self, op: JournalOp) {
-        if self.journal_depth > 0 {
-            self.journal.push(op);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -754,70 +709,13 @@ impl History {
         assert!(!id.is_init(), "cannot begin the init transaction");
         assert!(!self.contains_tx(id), "transaction {id} already exists");
         assert!(begin.kind.is_begin(), "first event must be begin");
-        self.record(JournalOp::Begin {
+        let delta = TxDelta {
             session: s,
-            prev_max_event: self.max_event_id,
-            prev_max_tx: self.max_tx_id,
-        });
-        self.do_begin(s, id, program_index, begin);
-        self.emit(HistoryDelta::Begin { session: s, tx: id });
-    }
-
-    fn do_begin(&mut self, s: SessionId, id: TxId, program_index: usize, begin: Event) {
-        if s.0 as usize >= self.sessions.len() {
-            self.sessions.resize_with(s.0 as usize + 1, Vec::new);
-        }
-        let sidx = self.sessions[s.0 as usize].len() as u32;
-        let c = contrib(event_payload(pos_key(s.0, sidx, 0), &begin.kind));
-        xor_into(&mut self.hash, c);
-        self.owner.set(begin.id.0, id.0);
-        self.max_event_id = self.max_event_id.max(begin.id.0);
-        self.max_tx_id = self.max_tx_id.max(id.0);
-        // `begin_transaction` always seeds with a begin event; rebuilds
-        // (`remove_events`) may seed a truncated log with any first kept
-        // event, including one that completes the transaction outright.
-        let complete = matches!(begin.kind, EventKind::Commit | EventKind::Abort);
-        let mut log = TransactionLog::new(id, s, program_index);
-        log.push(begin);
-        self.tx_slot.set(id.0, self.logs.len() as u32);
-        self.tx_sidx.set(id.0, sidx);
-        self.logs.push(log);
-        self.sessions[s.0 as usize].push(id);
-        if !complete {
-            self.pending += 1;
-        }
-    }
-
-    /// Undoes the most recent live `begin_transaction` of `session` (its
-    /// log holds only the begin event by journal-ordering), returning the
-    /// removed transaction's id.
-    fn undo_begin(&mut self, s: SessionId) -> TxId {
-        let id = self.sessions[s.0 as usize]
-            .pop()
-            .expect("session has a transaction to undo");
-        let log = self.detach_log(id);
-        debug_assert_eq!(log.events.len(), 1, "begin undone with live events");
-        let begin = &log.events[0];
-        let sidx = self.sessions[s.0 as usize].len() as u32;
-        let c = contrib(event_payload(pos_key(s.0, sidx, 0), &begin.kind));
-        xor_into(&mut self.hash, c);
-        self.owner.clear(begin.id.0);
-        self.pending -= 1;
-        id
-    }
-
-    /// Removes a transaction's log from the arena (swap-remove, fixing the
-    /// moved log's slot). Arena slot order is a representation detail:
-    /// every public traversal goes through `tx_slot` by id.
-    fn detach_log(&mut self, id: TxId) -> TransactionLog {
-        let slot = self.tx_slot.clear(id.0).expect("live transaction") as usize;
-        self.tx_sidx.clear(id.0);
-        let log = self.logs.swap_remove(slot);
-        if slot < self.logs.len() {
-            let moved = self.logs[slot].id;
-            self.tx_slot.set(moved.0, slot as u32);
-        }
-        log
+            tx: id,
+            begin: begin.id,
+            program_index: u32::try_from(program_index).expect("program index fits in u32"),
+        };
+        self.mutate(HistoryDelta::Begin(delta), None);
     }
 
     /// Removes the last transaction of session `s`, which must be a
@@ -835,30 +733,21 @@ impl History {
     ///
     /// [`begin_transaction`]: History::begin_transaction
     pub fn retract_begin(&mut self, s: SessionId) {
-        let tx = self
-            .last_tx_of_session(s)
-            .unwrap_or_else(|| panic!("session {s} has no transaction"));
+        let log = self.tx(self.last_tx(s));
         assert_eq!(
-            self.tx(tx).events.len(),
+            log.events.len(),
             1,
             "retracted transaction must be begin-only"
         );
-        self.sessions[s.0 as usize].pop();
-        let sidx = self.sessions[s.0 as usize].len() as u32;
-        let mut log = self.detach_log(tx);
-        let begin = log.events.pop().expect("begin event");
+        let begin = &log.events[0];
         assert!(begin.kind.is_begin(), "first event must be begin");
-        let c = contrib(event_payload(pos_key(s.0, sidx, 0), &begin.kind));
-        xor_into(&mut self.hash, c);
-        self.owner.clear(begin.id.0);
-        self.pending -= 1;
-        self.record(JournalOp::Retract {
+        let delta = TxDelta {
             session: s,
-            tx,
-            program_index: log.program_index,
-            begin,
-        });
-        self.emit(HistoryDelta::UndoBegin { session: s, tx });
+            tx: log.id,
+            begin: begin.id,
+            program_index: u32::try_from(log.program_index).expect("program index fits in u32"),
+        };
+        self.mutate(HistoryDelta::UndoBegin(delta), None);
     }
 
     /// Appends an event to the last (pending) transaction of session `s`
@@ -866,103 +755,45 @@ impl History {
     ///
     /// # Panics
     ///
-    /// Panics if the session has no pending last transaction.
+    /// Panics if the session has no pending last transaction or the event
+    /// is a begin event.
     pub fn append_event(&mut self, s: SessionId, event: Event) -> TxId {
-        let tx = self
-            .last_tx_of_session(s)
-            .unwrap_or_else(|| panic!("session {s} has no transaction"));
-        assert!(
-            self.tx(tx).is_pending(),
-            "last transaction of {s} is complete"
-        );
-        self.record(JournalOp::Append {
-            session: s,
-            prev_max_event: self.max_event_id,
-        });
-        let info = DeltaEventInfo::of(&event.kind);
-        let id = event.id;
-        let (_, po) = self.do_append(s, event);
-        if let Some(info) = info {
-            self.emit(HistoryDelta::Append {
-                tx,
-                event: id,
-                info,
-                po,
-            });
-        }
+        let tx = self.last_tx(s);
+        let log = self.tx(tx);
+        assert!(log.is_pending(), "last transaction of {s} is complete");
+        let delta = EventDelta {
+            tx,
+            event: event.id,
+            info: DeltaEventInfo::of(&event.kind).expect("a transaction has one begin event"),
+            po: log.events.len() as u32,
+        };
+        self.mutate(HistoryDelta::Append(delta), Some(event));
         tx
     }
 
-    fn do_append(&mut self, s: SessionId, event: Event) -> (TxId, u32) {
-        let tx = self.sessions[s.0 as usize]
-            .last()
-            .copied()
-            .expect("session has a transaction");
-        let sidx = self.tx_sidx.get(tx.0).expect("tx session index");
-        let slot = self.tx_slot.get(tx.0).expect("tx slot") as usize;
-        let po = self.logs[slot].events.len() as u32;
-        let c = contrib(event_payload(pos_key(s.0, sidx, po), &event.kind));
-        xor_into(&mut self.hash, c);
-        if matches!(event.kind, EventKind::Commit | EventKind::Abort) {
-            self.pending -= 1;
-        }
-        self.owner.set(event.id.0, tx.0);
-        self.max_event_id = self.max_event_id.max(event.id.0);
-        self.logs[slot].events.push(event);
-        (tx, po)
-    }
-
-    /// Removes and returns the last event of the last transaction of
-    /// session `s` — the exact inverse of [`append_event`](History::append_event).
+    /// Removes the last event of the last transaction of session `s` — the
+    /// exact inverse of [`append_event`](History::append_event). Under a
+    /// checkpoint the event is kept for [`rollback`](History::rollback) to
+    /// re-append; otherwise it is dropped.
     ///
     /// # Panics
     ///
     /// Panics if the event is the transaction's begin (undo the begin via
-    /// [`rollback`](History::rollback) instead) or if it is a read whose wr
-    /// dependency has not been [`unset_wr`](History::unset_wr) first.
-    pub fn pop_event(&mut self, s: SessionId) -> Event {
-        let tx = self
-            .last_tx_of_session(s)
-            .unwrap_or_else(|| panic!("session {s} has no transaction"));
-        let len = self.tx(tx).events.len();
-        assert!(len > 1, "cannot pop a transaction's begin event");
-        let (tx, po, event) = self.do_pop(s);
-        self.record(JournalOp::Pop {
-            session: s,
-            event: event.clone(),
-        });
-        if let Some(info) = DeltaEventInfo::of(&event.kind) {
-            self.emit(HistoryDelta::Pop {
-                tx,
-                event: event.id,
-                info,
-                po,
-            });
-        }
-        event
-    }
-
-    fn do_pop(&mut self, s: SessionId) -> (TxId, u32, Event) {
-        let tx = self.sessions[s.0 as usize]
-            .last()
-            .copied()
-            .expect("session has a transaction");
-        let sidx = self.tx_sidx.get(tx.0).expect("tx session index");
-        let slot = self.tx_slot.get(tx.0).expect("tx slot") as usize;
-        let event = self.logs[slot].events.pop().expect("event to pop");
-        assert!(
-            self.wr.get(event.id.0).is_none(),
-            "popped read {} still has a wr dependency",
-            event.id
-        );
-        let po = self.logs[slot].events.len() as u32;
-        let c = contrib(event_payload(pos_key(s.0, sidx, po), &event.kind));
-        xor_into(&mut self.hash, c);
-        if matches!(event.kind, EventKind::Commit | EventKind::Abort) {
-            self.pending += 1;
-        }
-        self.owner.clear(event.id.0);
-        (tx, po, event)
+    /// [`retract_begin`](History::retract_begin) instead) or if it is a read
+    /// whose wr dependency has not been [`unset_wr`](History::unset_wr)
+    /// first.
+    pub fn pop_event(&mut self, s: SessionId) {
+        let tx = self.last_tx(s);
+        let events = &self.tx(tx).events;
+        assert!(events.len() > 1, "cannot pop a transaction's begin event");
+        let po = events.len() - 1;
+        let delta = EventDelta {
+            tx,
+            event: events[po].id,
+            info: DeltaEventInfo::of(&events[po].kind).expect("only the first event is a begin"),
+            po: po as u32,
+        };
+        self.mutate(HistoryDelta::Pop(delta), None);
     }
 
     /// Adds (or replaces) a write-read dependency `wr(writer, read)`.
@@ -972,53 +803,14 @@ impl History {
     /// Panics if the read event is unknown, not a read, or the writer does
     /// not write the read's variable.
     pub fn set_wr(&mut self, read: EventId, writer: TxId) {
-        let e = self.event(read).expect("read event must be in the history");
-        let x = match &e.kind {
-            EventKind::Read(x) => *x,
-            other => panic!("wr target must be a read event, got {other}"),
-        };
+        let trial = self.prepare_wr_trial(read);
         assert!(
-            self.writes_var(writer, x),
-            "wr source {writer} does not write {x}"
+            self.writes_var(writer, trial.var),
+            "wr source {writer} does not write {}",
+            trial.var
         );
-        let (reader, _, po, key) = self.read_coords_key(read);
-        let prev = self.set_wr_keyed(read, writer, key);
-        if let Some(prev) = prev {
-            self.emit(HistoryDelta::UnsetWr {
-                read,
-                reader,
-                writer: TxId(prev),
-                var: x,
-                po,
-            });
-        }
-        self.emit(HistoryDelta::SetWr {
-            read,
-            reader,
-            writer,
-            var: x,
-            po,
-        });
-    }
-
-    fn do_set_wr(&mut self, read: EventId, writer: TxId) -> Option<u32> {
-        let key = self.event_pos_key(read);
-        self.set_wr_keyed(read, writer, key)
-    }
-
-    fn set_wr_keyed(&mut self, read: EventId, writer: TxId, key: u64) -> Option<u32> {
-        let prev = self.wr.set(read.0, writer.0);
-        if let Some(prev) = prev {
-            let c = contrib(wr_payload(key, self.tx_coord(TxId(prev))));
-            xor_into(&mut self.hash, c);
-        }
-        let c = contrib(wr_payload(key, self.tx_coord(writer)));
-        xor_into(&mut self.hash, c);
-        self.record(JournalOp::SetWr {
-            read,
-            prev: prev.unwrap_or(NONE),
-        });
-        prev
+        self.unset_wr_trial(&trial);
+        self.set_wr_trial(&trial, writer);
     }
 
     /// Removes the wr dependency of a read, if any — the inverse of
@@ -1026,25 +818,10 @@ impl History {
     /// must call this between candidates so that the next consistency check
     /// never sees the previous candidate's edge.
     pub fn unset_wr(&mut self, read: EventId) {
-        if let Some(prev) = self.wr.clear(read.0) {
-            let (reader, var, po, key) = self.read_coords_key(read);
-            let c = contrib(wr_payload(key, self.tx_coord(TxId(prev))));
-            xor_into(&mut self.hash, c);
-            self.record(JournalOp::SetWr { read, prev });
-            self.emit(HistoryDelta::UnsetWr {
-                read,
-                reader,
-                writer: TxId(prev),
-                var,
-                po,
-            });
+        if self.wr.get(read.0).is_some() {
+            let trial = self.prepare_wr_trial(read);
+            self.unset_wr_trial(&trial);
         }
-    }
-
-    /// Removes the wr dependency of a read, if any (alias of
-    /// [`unset_wr`](History::unset_wr), kept for the pre-journal API).
-    pub fn clear_wr(&mut self, read: EventId) {
-        self.unset_wr(read);
     }
 
     /// Resolves a read's coordinates once for a candidate loop that will
@@ -1057,13 +834,18 @@ impl History {
     ///
     /// Panics if the event is unknown or not a read.
     pub fn prepare_wr_trial(&self, read: EventId) -> WrTrial {
-        let (reader, var, po, key) = self.read_coords_key(read);
+        let reader = self
+            .tx_of_event(read)
+            .expect("read event must be in the history");
+        let log = self.tx(reader);
+        let po = log.po_position(read).expect("event in its log");
+        let kind = &log.events[po].kind;
+        assert!(kind.is_read(), "wr target must be a read event, got {kind}");
         WrTrial {
             read,
             reader,
-            var,
-            po,
-            key,
+            var: log.events[po].var().expect("reads have a variable"),
+            po: po as u32,
         }
     }
 
@@ -1081,58 +863,163 @@ impl History {
             "wr source {writer} does not write {}",
             trial.var
         );
-        let prev = self.set_wr_keyed(trial.read, writer, trial.key);
-        debug_assert!(prev.is_none(), "wr trial over an existing dependency");
-        self.emit(HistoryDelta::SetWr {
-            read: trial.read,
-            reader: trial.reader,
-            writer,
-            var: trial.var,
-            po: trial.po,
-        });
+        debug_assert!(
+            self.wr.get(trial.read.0).is_none(),
+            "wr trial over an existing dependency"
+        );
+        self.mutate(HistoryDelta::SetWr(trial.edge(writer)), None);
     }
 
-    /// Removes the wr dependency set through [`set_wr_trial`](History::set_wr_trial) — the fast
-    /// path of [`unset_wr`](History::unset_wr).
+    /// Removes the wr dependency of a prepared read, if any — the fast path
+    /// of [`unset_wr`](History::unset_wr).
     pub fn unset_wr_trial(&mut self, trial: &WrTrial) {
-        if let Some(prev) = self.wr.clear(trial.read.0) {
-            let c = contrib(wr_payload(trial.key, self.tx_coord(TxId(prev))));
-            xor_into(&mut self.hash, c);
-            self.record(JournalOp::SetWr {
-                read: trial.read,
-                prev,
-            });
-            self.emit(HistoryDelta::UnsetWr {
-                read: trial.read,
-                reader: trial.reader,
-                writer: TxId(prev),
-                var: trial.var,
-                po: trial.po,
-            });
+        if let Some(writer) = self.wr.get(trial.read.0) {
+            self.mutate(HistoryDelta::UnsetWr(trial.edge(TxId(writer))), None);
         }
     }
 
-    /// Owner, variable, program-order position and hash position key of a
-    /// live read event, resolved in one pass over its transaction log (the
-    /// wr mutators need all four).
-    fn read_coords_key(&self, read: EventId) -> (TxId, Var, u32, u64) {
-        let tx = self.tx_of_event(read).expect("event has an owner");
-        let log = self.tx(tx);
-        let po = log.po_position(read).expect("event in its log") as u32;
-        let var = log.events[po as usize]
-            .var()
-            .expect("wr reads have a variable");
-        let sidx = self.tx_sidx.get(tx.0).expect("tx session index");
-        (tx, var, po, pos_key(log.session.0, sidx, po))
+    /// Performs one mutation, journals it while a checkpoint is
+    /// outstanding (a popped event goes on the side stack) and emits it.
+    /// Inlined, with `apply`, into each mutator, so that the explorer's hot
+    /// mutators compile to their own arm instead of dispatching through the
+    /// shared match.
+    #[inline(always)]
+    fn mutate(&mut self, delta: HistoryDelta, event: Option<Event>) {
+        let entry = JournalEntry {
+            delta,
+            max_event_id: self.max_event_id,
+            max_tx_id: self.max_tx_id,
+        };
+        let popped = self.apply(delta, event);
+        if self.journal_depth > 0 {
+            self.journal.push(entry);
+            self.popped.extend(popped);
+        }
+        self.emit(delta);
     }
 
-    /// Position key of a live event (for hash contributions).
-    fn event_pos_key(&self, e: EventId) -> u64 {
-        let tx = self.tx_of_event(e).expect("event has an owner");
-        let log = self.tx(tx);
-        let po = log.po_position(e).expect("event in its log") as u32;
+    /// The one implementation of each of the six mutations, shared by the
+    /// public mutators and [`rollback`](History::rollback). An `Append`
+    /// pushes `event`, which its delta summarises; a `Pop` returns the
+    /// event it removed. Callers have checked the preconditions, and they
+    /// journal and emit the delta.
+    #[inline(always)]
+    fn apply(&mut self, delta: HistoryDelta, event: Option<Event>) -> Option<Event> {
+        match delta {
+            HistoryDelta::Begin(t) => {
+                let begin = Event::new(t.begin, EventKind::Begin);
+                self.push_log(t.session, t.tx, t.program_index as usize, begin);
+            }
+            HistoryDelta::UndoBegin(t) => {
+                let txs = &mut self.sessions[t.session.0 as usize];
+                let last = txs.pop();
+                debug_assert_eq!(last, Some(t.tx), "only a session's last transaction goes");
+                let sidx = txs.len() as u32;
+                let log = self.detach_log(t.tx);
+                debug_assert_eq!(log.events.len(), 1, "begin undone with live events");
+                let c = contrib(event_payload(
+                    pos_key(t.session.0, sidx, 0),
+                    &EventKind::Begin,
+                ));
+                xor_into(&mut self.hash, c);
+                self.owner.clear(t.begin.0);
+                self.pending -= 1;
+            }
+            HistoryDelta::Append(e) => {
+                let event = event.expect("an append carries its event");
+                let (slot, key) = self.slot_and_key(e.tx, e.po);
+                xor_into(&mut self.hash, contrib(event_payload(key, &event.kind)));
+                if matches!(e.info, DeltaEventInfo::Commit | DeltaEventInfo::Abort) {
+                    self.pending -= 1;
+                }
+                self.owner.set(e.event.0, e.tx.0);
+                self.max_event_id = self.max_event_id.max(e.event.0);
+                self.logs[slot].events.push(event);
+            }
+            HistoryDelta::Pop(e) => {
+                assert!(
+                    self.wr.get(e.event.0).is_none(),
+                    "popped read {} still has a wr dependency",
+                    e.event
+                );
+                let (slot, key) = self.slot_and_key(e.tx, e.po);
+                let event = self.logs[slot].events.pop().expect("event to pop");
+                xor_into(&mut self.hash, contrib(event_payload(key, &event.kind)));
+                if matches!(e.info, DeltaEventInfo::Commit | DeltaEventInfo::Abort) {
+                    self.pending += 1;
+                }
+                self.owner.clear(e.event.0);
+                return Some(event);
+            }
+            HistoryDelta::SetWr(w) => {
+                self.wr.set(w.read.0, w.writer.0);
+                let c = self.wr_contrib(&w);
+                xor_into(&mut self.hash, c);
+            }
+            HistoryDelta::UnsetWr(w) => {
+                self.wr.clear(w.read.0);
+                let c = self.wr_contrib(&w);
+                xor_into(&mut self.hash, c);
+            }
+        }
+        None
+    }
+
+    /// Adds a transaction log seeded with its first event as the last of
+    /// session `s`. A `Begin` seeds it with a begin event;
+    /// [`remove_events`](History::remove_events) may seed a truncated log
+    /// with any first kept event, including one that completes the
+    /// transaction outright.
+    fn push_log(&mut self, s: SessionId, id: TxId, program_index: usize, first: Event) {
+        if s.0 as usize >= self.sessions.len() {
+            self.sessions.resize_with(s.0 as usize + 1, Vec::new);
+        }
+        let sidx = self.sessions[s.0 as usize].len() as u32;
+        let c = contrib(event_payload(pos_key(s.0, sidx, 0), &first.kind));
+        xor_into(&mut self.hash, c);
+        self.owner.set(first.id.0, id.0);
+        self.max_event_id = self.max_event_id.max(first.id.0);
+        self.max_tx_id = self.max_tx_id.max(id.0);
+        let complete = matches!(first.kind, EventKind::Commit | EventKind::Abort);
+        let mut log = TransactionLog::new(id, s, program_index);
+        log.push(first);
+        self.tx_slot.set(id.0, self.logs.len() as u32);
+        self.tx_sidx.set(id.0, sidx);
+        self.logs.push(log);
+        self.sessions[s.0 as usize].push(id);
+        if !complete {
+            self.pending += 1;
+        }
+    }
+
+    /// Removes a transaction's log from the arena (swap-remove, fixing the
+    /// moved log's slot). Arena slot order is a representation detail:
+    /// every public traversal goes through `tx_slot` by id.
+    fn detach_log(&mut self, id: TxId) -> TransactionLog {
+        let slot = self.tx_slot.clear(id.0).expect("live transaction") as usize;
+        self.tx_sidx.clear(id.0);
+        let log = self.logs.swap_remove(slot);
+        if slot < self.logs.len() {
+            let moved = self.logs[slot].id;
+            self.tx_slot.set(moved.0, slot as u32);
+        }
+        log
+    }
+
+    /// Arena slot of a live transaction and the hash position key of its
+    /// program-order position `po`.
+    #[inline]
+    fn slot_and_key(&self, tx: TxId, po: u32) -> (usize, u64) {
+        let slot = self.tx_slot.get(tx.0).expect("live transaction") as usize;
         let sidx = self.tx_sidx.get(tx.0).expect("tx session index");
-        pos_key(log.session.0, sidx, po)
+        (slot, pos_key(self.logs[slot].session.0, sidx, po))
+    }
+
+    /// Rolling-hash contribution of a wr dependency.
+    #[inline]
+    fn wr_contrib(&self, w: &WrDelta) -> (u64, u64) {
+        let (_, key) = self.slot_and_key(w.reader, w.po);
+        contrib(wr_payload(key, self.tx_coord(w.writer)))
     }
 
     /// Canonical `(session, index)` coordinate of a transaction for hash
@@ -1454,23 +1341,19 @@ impl History {
         for (_, txs) in self.sessions() {
             for t in txs {
                 let log = self.tx(*t);
-                let mut started = false;
-                for e in &log.events {
-                    if doomed.contains(&e.id) {
-                        continue;
-                    }
-                    if !started {
-                        h.do_begin(log.session, log.id, log.program_index, e.clone());
-                        started = true;
-                    } else {
-                        h.do_append(log.session, e.clone());
+                let mut kept = log.events.iter().filter(|e| !doomed.contains(&e.id));
+                if let Some(first) = kept.next() {
+                    h.push_log(log.session, log.id, log.program_index, first.clone());
+                    for e in kept {
+                        h.append_event(log.session, e.clone());
                     }
                 }
             }
         }
         for (r, w) in self.wr() {
             if h.tx_of_event(r).is_some() && h.contains_tx(w) {
-                h.do_set_wr(r, w);
+                let trial = h.prepare_wr_trial(r);
+                h.set_wr_trial(&trial, w);
             }
         }
         h
@@ -1715,6 +1598,7 @@ impl Clone for History {
             max_event_id: self.max_event_id,
             hash: self.hash,
             journal: Vec::new(),
+            popped: Vec::new(),
             journal_depth: 0,
             uid: NEXT_HISTORY_UID.fetch_add(1, Ordering::Relaxed),
             delta_base: 0,
@@ -2015,16 +1899,18 @@ mod tests {
         assert_eq!(
             deltas,
             vec![
-                HistoryDelta::Begin {
+                HistoryDelta::Begin(TxDelta {
                     session: SessionId(0),
-                    tx: TxId(1)
-                },
-                HistoryDelta::Append {
+                    tx: TxId(1),
+                    begin: EventId(1),
+                    program_index: 0
+                }),
+                HistoryDelta::Append(EventDelta {
                     tx: TxId(1),
                     event: EventId(2),
                     info: DeltaEventInfo::Write(Var(0)),
                     po: 1
-                },
+                }),
             ]
         );
         // A rollback emits the inverse deltas rather than rewinding the log.
@@ -2033,22 +1919,15 @@ mod tests {
         h.append_event(SessionId(0), ev(3, EventKind::Commit));
         h.rollback(mark);
         let tail: Vec<HistoryDelta> = h.deltas_since(g1).unwrap().copied().collect();
+        let commit = EventDelta {
+            tx: TxId(1),
+            event: EventId(3),
+            info: DeltaEventInfo::Commit,
+            po: 2,
+        };
         assert_eq!(
             tail,
-            vec![
-                HistoryDelta::Append {
-                    tx: TxId(1),
-                    event: EventId(3),
-                    info: DeltaEventInfo::Commit,
-                    po: 2
-                },
-                HistoryDelta::Pop {
-                    tx: TxId(1),
-                    event: EventId(3),
-                    info: DeltaEventInfo::Commit,
-                    po: 2
-                },
-            ]
+            vec![HistoryDelta::Append(commit), HistoryDelta::Pop(commit)]
         );
         // Out-of-window and foreign sync points are rejected; clones are
         // fresh observers.
@@ -2057,6 +1936,47 @@ mod tests {
         assert_ne!(clone.uid(), uid);
         assert_eq!(clone.generation(), 0);
         assert_eq!(clone.deltas_since(0).unwrap().count(), 0);
+    }
+
+    #[test]
+    fn inverse_is_an_involution_on_every_variant() {
+        let t = TxDelta {
+            session: SessionId(1),
+            tx: TxId(2),
+            begin: EventId(3),
+            program_index: 4,
+        };
+        let e = EventDelta {
+            tx: TxId(2),
+            event: EventId(5),
+            info: DeltaEventInfo::Read(Var(6)),
+            po: 1,
+        };
+        let w = WrDelta {
+            read: EventId(5),
+            reader: TxId(2),
+            writer: TxId(7),
+            var: Var(6),
+            po: 1,
+        };
+        let pairs = [
+            (HistoryDelta::Begin(t), HistoryDelta::UndoBegin(t)),
+            (HistoryDelta::Append(e), HistoryDelta::Pop(e)),
+            (HistoryDelta::SetWr(w), HistoryDelta::UnsetWr(w)),
+        ];
+        for (forward, backward) in pairs {
+            assert_eq!(forward.inverse(), backward);
+            assert_eq!(backward.inverse(), forward);
+            assert_eq!(forward.inverse().inverse(), forward);
+            assert_eq!(backward.inverse().inverse(), backward);
+        }
+    }
+
+    #[test]
+    fn journal_entries_are_a_delta_and_two_marks() {
+        // Popped events wait on the side stack, not in the entries.
+        assert_eq!(std::mem::size_of::<HistoryDelta>(), 24);
+        assert_eq!(std::mem::size_of::<JournalEntry>(), 32);
     }
 
     #[test]
@@ -2337,8 +2257,8 @@ mod tests {
         let r = EventId(101);
         h.append_event(SessionId(4), Event::new(r, EventKind::Read(Var(0))));
         h.set_wr(r, TxId(1));
-        let commit = h.pop_event(SessionId(3));
-        assert!(commit.kind.is_commit());
+        h.pop_event(SessionId(3));
+        assert!(h.tx(TxId(3)).is_pending());
         let now = h.clone();
         for (mark, want) in [(outer, &outer_snapshot), (inner, &inner_snapshot)] {
             let copy = h.clone_at(mark);
@@ -2364,13 +2284,14 @@ mod tests {
         let snapshot = h.clone();
         let mark = h.checkpoint();
         // Pop t3's commit and the read of y (after unsetting its wr).
-        let commit = h.pop_event(SessionId(3));
-        assert!(commit.kind.is_commit());
+        assert!(h.tx(TxId(3)).events.last().unwrap().kind.is_commit());
+        h.pop_event(SessionId(3));
         assert_eq!(h.num_pending(), 1);
         let r3y = h.tx(TxId(3)).events.last().unwrap().id;
+        assert!(h.event(r3y).unwrap().kind.is_read());
         h.unset_wr(r3y);
-        let read = h.pop_event(SessionId(3));
-        assert!(read.kind.is_read());
+        h.pop_event(SessionId(3));
+        assert!(h.event(r3y).is_none());
         h.rollback(mark);
         assert_eq!(h, snapshot);
         assert_eq!(h.live_hash(), snapshot.live_hash());

@@ -84,8 +84,8 @@ pub use check::{
 };
 pub use event::{Event, EventId, EventKind};
 pub use history::{
-    DeltaEventInfo, EventFingerprint, History, HistoryDelta, HistoryFingerprint, HistoryMark,
-    WrTrial, WriterRef, DELTA_LOG_CAPACITY,
+    DeltaEventInfo, EventDelta, EventFingerprint, History, HistoryDelta, HistoryFingerprint,
+    HistoryMark, TxDelta, WrDelta, WrTrial, WriterRef, DELTA_LOG_CAPACITY,
 };
 pub use isolation::{IsolationLevel, LevelSpec, ParseLevelError, ParseSpecError};
 pub use relations::{BitMatrix, Digraph};
