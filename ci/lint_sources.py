@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Banned-pattern lint for the store, explore, program and checking-layer
-sources.
+"""Banned-pattern lint for the store, explore, program, checking-layer,
+application and benchmark sources.
 
 Rules (each violation prints one `path:line: message` and fails the run):
 
@@ -9,19 +9,20 @@ Rules (each violation prints one `path:line: message` and fails the run):
    a context-free panic: use a typed error or a justified `expect("...")`
    that states the invariant making the failure impossible.
 2. No `panic!(` in *non-test* code of `crates/store/src`,
-   `crates/explore/src`, `crates/program/src`, `crates/history/src`
-   and `crates/analysis/src` (the program crate's interpreter runs on
-   every explorer and store step). Invariant breaches are
-   `unreachable!("...")` (they document why the arm cannot be taken);
-   broken preconditions are `assert!` with a message, and expected
-   failures are typed errors. Test modules (`#[cfg(test)]` to end of
-   file) and `tests/` directories keep their panics — that is what tests
-   are for. `crates/history/src/testkit.rs` is exempt for the same
-   reason: it is test support compiled into the library so other crates'
-   tests can share it, and its panic is a test failure.
+   `crates/explore/src`, `crates/program/src`, `crates/history/src`,
+   `crates/analysis/src`, `crates/apps/src` and `crates/bench/src` (the
+   program crate's interpreter runs on every explorer and store step).
+   Invariant breaches are `unreachable!("...")` (they document why the
+   arm cannot be taken); broken preconditions are `assert!` with a
+   message, and expected failures are typed errors. Test modules
+   (`#[cfg(test)]` to end of file) and `tests/` directories keep their
+   panics — that is what tests are for. `crates/history/src/testkit.rs`
+   is exempt for the same reason: it is test support compiled into the
+   library so other crates' tests can share it, and its panic is a test
+   failure.
 3. No `.unwrap(` in non-test code of `crates/explore/src`,
-   `crates/program/src`, `crates/history/src` (again except `testkit.rs`)
-   and `crates/analysis/src`.
+   `crates/program/src`, `crates/history/src` (again except `testkit.rs`),
+   `crates/analysis/src`, `crates/apps/src` and `crates/bench/src`.
 4. No `Instant::now` / `SystemTime` in `crates/store/src/simulation.rs`:
    simulated time is logical by construction, and a single wall-clock
    read would silently break run-to-run determinism.
@@ -107,6 +108,8 @@ def main() -> int:
         ("program", REPO / "crates" / "program" / "src"),
         ("history", REPO / "crates" / "history" / "src"),
         ("analysis", REPO / "crates" / "analysis" / "src"),
+        ("apps", REPO / "crates" / "apps" / "src"),
+        ("bench", REPO / "crates" / "bench" / "src"),
     ]
     for layer, root in non_test_roots:
         for f in rust_sources(root):

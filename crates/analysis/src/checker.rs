@@ -41,9 +41,16 @@ use crate::decompose::{component_history, decompose, Decomposition};
 ///
 /// Decomposition is pure pre-processing: a boolean [`check`] only splits
 /// when the spec has a strong member (PC/SI/SER), where the commit-order
-/// search is super-polynomial in instance size and splitting pays
-/// exponentially; polynomial weak checks go straight to the wrapped
-/// engine, whose incremental indexes are faster than any rebuild.
+/// search dominates. That search visits at most one state per session
+/// frontier, `∏ 2 · (length + 1)` over the sessions: polynomial for a
+/// fixed number of sessions, but still exponential in their number.
+/// Components split the sessions, so their state spaces add up instead
+/// of multiplying. That is what splitting still buys, on histories with
+/// many sessions in independent components, at the price of copying each
+/// component out and rebuilding its indexes. Whether it pays on recorded
+/// histories is open (ROADMAP.md, "Take communication-graph decomposition
+/// out of the checking path"). Polynomial weak checks go straight to the
+/// wrapped engine, whose incremental indexes are faster than any rebuild.
 /// [`check_witnessed`] (once per complete history / recorded execution)
 /// always decomposes. Single-component histories short-circuit to the
 /// wrapped engine on the *original* object, preserving its memo and

@@ -153,3 +153,58 @@ fn the_crash_unsafe_deployment_is_caught_under_each_crash_preset() {
         );
     }
 }
+
+#[test]
+fn contended_store_histories_stay_cheap_to_check() {
+    // Contended courseware runs: 6 sessions × 8 transactions under SI
+    // with lossy links, and 8 × 4 under crash-chaos for every honest
+    // deployment. Their recorded histories are where a commit-order
+    // search that explores dead overwrites blows up (millions of nodes
+    // per check). The bound counts search nodes, not time, so it is
+    // deterministic.
+    let mut rows = Vec::new();
+    for seed in 1..=4u64 {
+        rows.push((6, 8, Deployment::si(), "lossy", seed));
+    }
+    for deployment in app_deployments(App::Courseware) {
+        if !deployment.honest() {
+            continue;
+        }
+        for seed in 1..=4u64 {
+            rows.push((8, 4, deployment.clone(), "crash-chaos", seed));
+        }
+    }
+    assert_eq!(rows.len(), 20);
+    for (sessions, transactions, deployment, preset, seed) in rows {
+        let label = format!(
+            "courseware {sessions}x{transactions}/{}/{preset}/{seed}",
+            deployment.name
+        );
+        let cfg = app_sim_config(
+            App::Courseware,
+            sessions,
+            transactions,
+            seed,
+            deployment,
+            FaultPlan::preset(preset).unwrap(),
+        );
+        let out = run_simulation(&cfg);
+        let mut engine = engine_for_spec(&out.claimed);
+        let verdict = engine.check_witnessed(&out.history);
+        let witness = verdict.witness().unwrap_or_else(|| {
+            panic!(
+                "{label}: honest deployment violated its claim: {}",
+                verdict.violation().unwrap()
+            )
+        });
+        assert!(
+            witness.replays(&out.history, &out.claimed),
+            "{label}: witness does not replay"
+        );
+        let nodes = engine.stats().search_nodes;
+        assert!(
+            nodes <= 250_000,
+            "{label}: the commit-order search visited {nodes} nodes"
+        );
+    }
+}

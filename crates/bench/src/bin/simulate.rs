@@ -68,7 +68,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
         apps: App::ALL.to_vec(),
         deployments: DEPLOYMENT_NAMES.iter().map(|s| s.to_string()).collect(),
-        faults: vec![("lossy".into(), FaultPlan::preset("lossy").unwrap())],
+        faults: vec![(
+            "lossy".into(),
+            FaultPlan::preset("lossy").expect("\"lossy\" is a built-in fault preset"),
+        )],
         seeds: vec![1, 2, 3],
         sessions: 3,
         transactions: 2,
@@ -251,6 +254,7 @@ fn main() {
                     // recombined, so the row's semantics are unchanged.
                     let mut checker = DecomposingChecker::new(&out.claimed, true);
                     let verdict = checker.check_witnessed(&out.history);
+                    let engine = checker.stats();
                     let (verdict_str, detail) = match (verdict.witness(), verdict.violation()) {
                         (Some(w), _) => {
                             if w.replays(&out.history, &out.claimed) {
@@ -328,6 +332,12 @@ fn main() {
                             "largest_component".into(),
                             JsonValue::uint(checker.largest_component()),
                         ),
+                        // Named as in fig14's rows.
+                        (
+                            "check_cpu_nanos".into(),
+                            JsonValue::uint(engine.check_nanos),
+                        ),
+                        ("search_nodes".into(), JsonValue::uint(engine.search_nodes)),
                         (
                             "fingerprint".into(),
                             JsonValue::str(format!("{:016x}{:016x}", fingerprint.0, fingerprint.1)),

@@ -401,6 +401,10 @@ pub fn measurement_json(m: &Measurement) -> JsonValue {
             JsonValue::uint(m.engine.check_nanos),
         ),
         (
+            "search_nodes".into(),
+            JsonValue::uint(m.engine.search_nodes),
+        ),
+        (
             "shared_memo_hits".into(),
             JsonValue::uint(m.engine.shared_memo_hits),
         ),
@@ -510,6 +514,7 @@ mod tests {
                 },
                 check_nanos: 123_456,
                 shared_memo_hits: 7,
+                search_nodes: 8_765,
             },
             workers: 4,
             steals: 5,
@@ -557,6 +562,7 @@ mod tests {
             "\"history_clones\":12",
             "\"history_bytes_copied\":2048",
             "\"check_cpu_nanos\":123456",
+            "\"search_nodes\":8765",
             "\"shared_memo_hits\":7",
             "\"workers\":4",
             "\"steals\":5",

@@ -68,7 +68,7 @@ pub fn print_cactus(rows: &[Measurement]) -> String {
             .filter(|m| !m.timed_out)
             .map(|m| m.time.as_secs_f64())
             .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        times.sort_by(f64::total_cmp);
         let timeouts = ms.iter().filter(|m| m.timed_out).count();
         out.push_str(&format!("{algo:<12} ({timeouts} timeouts): "));
         for (i, t) in times.iter().enumerate() {
@@ -99,7 +99,7 @@ pub fn print_cactus(rows: &[Measurement]) -> String {
             .filter(|m| !m.timed_out)
             .map(|m| m.peak_alloc as f64 / (1024.0 * 1024.0))
             .collect();
-        mem.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        mem.sort_by(f64::total_cmp);
         out.push_str(&format!("{algo:<12}: "));
         for (i, m) in mem.iter().enumerate() {
             out.push_str(&format!("({},{:.1}) ", i + 1, m));

@@ -111,8 +111,9 @@ struct Dfs<'a> {
     /// for every trial history of the run. Wrapped in communication-graph
     /// decomposition: under a strong spec (PC/SI/SER present) each
     /// boolean check splits the trial history into independent
-    /// components, shrinking the commit-order search exponentially; weak
-    /// specs go straight to the wrapped incremental engine.
+    /// components, whose commit-order search state spaces add up instead
+    /// of multiplying; weak specs go straight to the wrapped incremental
+    /// engine.
     checker: DecomposingChecker,
 }
 

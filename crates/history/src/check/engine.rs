@@ -142,6 +142,11 @@ pub struct EngineStats {
     /// must measure it around the run (as the bench harness does), never
     /// derive it from this field.
     pub check_nanos: u64,
+    /// Nodes visited by the commit-order search of SER, SI, PC and mixed
+    /// specs: one per search call that found the commit order incomplete.
+    /// A deterministic work counter, zero for specs without a strong
+    /// level.
+    pub search_nodes: u64,
 }
 
 impl EngineStats {
@@ -162,6 +167,7 @@ impl EngineStats {
         // the field documentation) — callers wanting wall time must time
         // the run itself.
         self.check_nanos += other.check_nanos;
+        self.search_nodes += other.search_nodes;
     }
 }
 
@@ -553,6 +559,7 @@ impl ConsistencyChecker for Engine {
                     }
                     None => stats.incremental_hits += 1,
                 }
+                stats.search_nodes += self.decider.take_search_nodes();
                 stats.check_nanos += start.elapsed().as_nanos() as u64;
                 v
             }
@@ -565,6 +572,7 @@ impl ConsistencyChecker for Engine {
         if self.check(h) {
             let start = Instant::now();
             let order = self.decider.witness(h);
+            self.memo.stats.search_nodes += self.decider.take_search_nodes();
             self.memo.stats.check_nanos += start.elapsed().as_nanos() as u64;
             if let Some(commit_order) = order {
                 return Verdict::Consistent(Witness { commit_order });
@@ -872,11 +880,13 @@ mod tests {
         let a = EngineStats {
             shared_memo_hits: 3,
             check_nanos: 100,
+            search_nodes: 20,
             ..EngineStats::default()
         };
         let b = EngineStats {
             shared_memo_hits: 4,
             check_nanos: 50,
+            search_nodes: 2,
             ..EngineStats::default()
         };
         total.absorb(&a);
@@ -885,6 +895,7 @@ mod tests {
         // per-thread deciding time), NOT wall time.
         assert_eq!(total.shared_memo_hits, 7);
         assert_eq!(total.check_nanos, 150);
+        assert_eq!(total.search_nodes, 22);
     }
 
     #[test]

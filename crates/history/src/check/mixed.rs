@@ -41,14 +41,44 @@
 //! once, when its `Decider` is built, so deciding a history inspects no
 //! spec.
 //!
-//! The search allocates nothing per node. Its state is one `Vec<u32>`:
-//! a word per session (frontier position and started flag) followed by
-//! the last committed writer of every externally read variable, restored
-//! from an undo stack on backtrack. The same vector is the failed-state
-//! key, looked up in an exact table of fixed-width states over one flat
-//! arena (`check::failed`; variables nobody reads never influence
-//! the future, so they are not tracked). The search records the commit
-//! order as it goes, so a successful decision leaves its witness behind.
+//! # The search state and its two rules
+//!
+//! The search allocates nothing per node. Its state is one word per
+//! session, `2 · frontier + started`: how many of the session's
+//! transactions are committed, and whether the next one has started its
+//! interval. A strong transaction *takes its snapshot* when it is placed
+//! (SER) or started (SI, PC); its reads are checked then and never again.
+//! Two rules keep the search on the state space of Biswas & Enea, the
+//! session frontiers (dbcop implements the same search as constrained
+//! linearization), generalised here per transaction:
+//!
+//! * **Dead overwrite.** A transaction `t` may not commit while a strong
+//!   transaction `r ≠ t` that has not taken its snapshot reads a variable
+//!   `t` visibly writes from that variable's current last writer. Last
+//!   writers only ever move to newly committed transactions, and `r`'s
+//!   source is already committed (or is init), so once `t` commits the
+//!   source is never the last writer again and `r`'s snapshot can never
+//!   pass. The rule cuts only subtrees that fail.
+//! * **Frontier key.** Under the rule, every state the search reaches
+//!   keeps an invariant: for each read `(x, w)` of a strong transaction
+//!   that has not taken its snapshot, `w` is the last committed writer of
+//!   `x` exactly when `w` is init, or is committed and visibly writes `x`.
+//!   When `w` commits it becomes the last writer of `x`; until the reader
+//!   takes its snapshot, the rule refuses every other writer of `x`, and
+//!   the reader itself commits only after its snapshot. The snapshot test
+//!   is stated through this invariant, so the search keeps no last-writer
+//!   words, and every test it makes (snapshots, the rule, committed
+//!   sources, forced-edge predecessors, SI conflicts) is a function of the
+//!   session words. So is whether a state can be completed, and the
+//!   session words alone key the failed-state table: an exact table of
+//!   fixed-width states over one flat arena (`check::failed`).
+//!
+//! Neither rule changes a verdict or a witness. Every subtree they cut
+//! would have failed, and the search still tries each node's children in
+//! the same order, so the first child whose subtree succeeds is the same,
+//! and so is the commit order the search records on the way: the witness.
+//! A check visits at most `∏ 2 · (length + 1)` states over the sessions,
+//! each expanded once: polynomial for a fixed number of sessions.
 
 use crate::check::engine::RebuildCause;
 use crate::check::failed::{self, FailedStates};
@@ -183,10 +213,35 @@ impl Decider {
     pub(crate) fn reset(&mut self) {
         self.last = None;
     }
+
+    /// The nodes the commit-order search visited since the last call: one
+    /// per call that found the commit order incomplete.
+    pub(crate) fn take_search_nodes(&mut self) -> u64 {
+        std::mem::take(&mut self.search.nodes)
+    }
 }
 
-/// Marks a variable without a last-writer word (nobody reads it).
-const UNTRACKED: u32 = u32::MAX;
+/// The source of a read of the init transaction, which commits before
+/// everything.
+const INIT_SOURCE: u32 = u32::MAX;
+
+/// One external read of a strong (SER, SI or PC) transaction whose source
+/// can be the variable's last writer: the init transaction, or a writer
+/// that visibly writes the variable. Listed under the variable for the
+/// dead-overwrite rule.
+#[derive(Clone, Copy, Debug)]
+struct StrongRead {
+    /// The reader's slot.
+    slot: u32,
+    /// The reader's session.
+    session: u32,
+    /// The smallest word of that session at which the reader has taken its
+    /// snapshot: `2k + 1` for the session's `k`-th transaction (started, or
+    /// committed).
+    taken: u32,
+    /// The slot of the writer it reads from, or [`INIT_SOURCE`].
+    source: u32,
+}
 
 /// Reusable state of the commit-order search.
 #[derive(Debug, Default)]
@@ -202,21 +257,19 @@ struct Search {
     /// Whether any transaction is at Snapshot Isolation (only those
     /// intervals constrain conflicting commits).
     any_si: bool,
-    /// `Var.0 ↦` index of the variable's last-writer word in `state`.
-    var_word: Vec<u32>,
-    /// The variables holding a word in `state`, to reset `var_word`.
-    tracked: Vec<u32>,
-    /// The search state and failed-state key: per session
-    /// `2 · frontier + started`, then per tracked variable the `TxId` of
-    /// its last committed writer (init = 0).
+    /// `Var.0 ↦` the strong reads of the variable (see [`StrongRead`]).
+    strong_reads: Vec<Vec<StrongRead>>,
+    /// The search state and failed-state key, one word per session:
+    /// `2 · frontier + started`.
     state: Vec<u32>,
-    /// Last-writer words overwritten by commits, as `(word, old value)`.
-    undo: Vec<(u32, u32)>,
     /// Failed states of the current check (exact keys; reset per check).
     failed: FailedStates,
     /// The commit order of the current prefix, init first: the witness
     /// once the search succeeds.
     order: Vec<TxId>,
+    /// Search nodes visited since [`Decider::take_search_nodes`] last
+    /// took them.
+    nodes: u64,
 }
 
 impl Search {
@@ -226,9 +279,44 @@ impl Search {
         let n = idx.len();
         self.level.clear();
         self.level.resize(n, spec.default_level());
+        for reads in &mut self.strong_reads {
+            reads.clear();
+        }
         for (s, txs) in idx.sessions.iter().enumerate() {
             for (k, &(_, slot)) in txs.iter().enumerate() {
-                self.level[slot as usize] = spec.level_of(s as u32, k as u32);
+                let level = spec.level_of(s as u32, k as u32);
+                self.level[slot as usize] = level;
+                if !matches!(
+                    level,
+                    IsolationLevel::Serializability
+                        | IsolationLevel::SnapshotIsolation
+                        | IsolationLevel::PrefixConsistency
+                ) {
+                    continue;
+                }
+                for &(x, w) in &idx.reads[slot as usize] {
+                    let source = if w.is_init() {
+                        INIT_SOURCE
+                    } else {
+                        match idx.slot_of(w) {
+                            Some(ws) if idx.writes_var(ws as usize, x) => ws,
+                            // A source that does not visibly write `x` is
+                            // never its last writer: the read fails every
+                            // snapshot and protects no value.
+                            _ => continue,
+                        }
+                    };
+                    let x = x.0 as usize;
+                    if self.strong_reads.len() <= x {
+                        self.strong_reads.resize_with(x + 1, Vec::new);
+                    }
+                    self.strong_reads[x].push(StrongRead {
+                        slot,
+                        session: s as u32,
+                        taken: 2 * k as u32 + 1,
+                        source,
+                    });
+                }
             }
         }
         self.any_si = self.level.contains(&IsolationLevel::SnapshotIsolation);
@@ -254,36 +342,23 @@ impl Search {
         }
         self.committed.clear();
         self.committed.resize(n, false);
-
-        let sessions = idx.sessions.len();
-        for &x in &self.tracked {
-            self.var_word[x as usize] = UNTRACKED;
-        }
-        self.tracked.clear();
-        for reads in &idx.reads {
-            for &(x, _) in reads {
-                let x = x.0 as usize;
-                if self.var_word.len() <= x {
-                    self.var_word.resize(x + 1, UNTRACKED);
-                }
-                if self.var_word[x] == UNTRACKED {
-                    self.var_word[x] = (sessions + self.tracked.len()) as u32;
-                    self.tracked.push(x as u32);
-                }
-            }
-        }
         self.state.clear();
-        self.state.resize(sessions + self.tracked.len(), 0);
-        self.undo.clear();
+        self.state.resize(idx.sessions.len(), 0);
         self.failed.reset(self.state.len());
         self.order.clear();
         self.order.push(TxId::INIT);
         self.search(idx)
     }
 
-    /// The last committed writer of `x`, which must be tracked.
-    fn last_writer(&self, x: Var) -> u32 {
-        self.state[self.var_word[x.0 as usize] as usize]
+    /// Whether `w` is the last committed writer of `x`, for a read of a
+    /// strong transaction that has not taken its snapshot yet: `w` is init,
+    /// or is committed and visibly writes `x` (the invariant of the module
+    /// documentation).
+    fn is_last_writer(&self, idx: &FrontierIndex, x: Var, w: TxId) -> bool {
+        w.is_init()
+            || idx
+                .slot_of(w)
+                .is_some_and(|ws| self.committed[ws as usize] && idx.writes_var(ws as usize, x))
     }
 
     /// Whether every external read of `slot` observes the last committed
@@ -291,13 +366,29 @@ impl Search {
     fn snapshot_ok(&self, idx: &FrontierIndex, slot: usize) -> bool {
         idx.reads[slot]
             .iter()
-            .all(|&(x, w)| self.last_writer(x) == w.0)
+            .all(|&(x, w)| self.is_last_writer(idx, x, w))
     }
 
     /// Whether every writer `slot` reads from is already committed.
     fn sources_committed(&self, idx: &FrontierIndex, slot: usize) -> bool {
         idx.reads[slot].iter().all(|&(_, w)| {
             w.is_init() || idx.slot_of(w).is_some_and(|ws| self.committed[ws as usize])
+        })
+    }
+
+    /// The dead-overwrite rule: whether committing `slot` would overwrite
+    /// the last writer of a variable that a strong transaction other than
+    /// `slot`, which has not taken its snapshot yet, reads from it. That
+    /// reader's snapshot could then never pass.
+    fn overwrites_a_snapshot(&self, idx: &FrontierIndex, slot: usize) -> bool {
+        idx.visible_writes(slot).any(|x| {
+            self.strong_reads.get(x.0 as usize).is_some_and(|reads| {
+                reads.iter().any(|r| {
+                    r.slot as usize != slot
+                        && self.state[r.session as usize] < r.taken
+                        && (r.source == INIT_SOURCE || self.committed[r.source as usize])
+                })
+            })
         })
     }
 
@@ -325,6 +416,7 @@ impl Search {
         if self.order.len() == idx.len() + 1 {
             return true;
         }
+        self.nodes += 1;
         let key = failed::hash(&self.state);
         if self.failed.contains(key, &self.state) {
             return false;
@@ -359,10 +451,11 @@ impl Search {
             }
             // Commit t: the end of a started interval, or an atomic
             // placement (start = commit) for SER, the weak levels and
-            // `true`. Forced-edge predecessors must be in, and the commit
+            // `true`. Forced-edge predecessors must be in, the commit
             // must not land inside a conflicting started SI interval
             // (reachable for atomic and PC commits only — two conflicting
-            // SI intervals never overlap by the start rule).
+            // SI intervals never overlap by the start rule), and it must
+            // not overwrite a value a snapshot still has to see.
             let reads_ok = match lvl {
                 _ if interval => true,
                 // Serializability: every external read observes the last
@@ -376,31 +469,17 @@ impl Search {
             if !reads_ok
                 || !self.preds[slot].iter().all(|&p| self.committed[p as usize])
                 || self.conflicts_with_started(idx, s, slot)
+                || self.overwrites_a_snapshot(idx, slot)
             {
                 continue;
             }
             self.state[s] = (word & !1) + 2;
             self.committed[slot] = true;
-            let mark = self.undo.len();
-            for x in idx.visible_writes(slot) {
-                let w = self
-                    .var_word
-                    .get(x.0 as usize)
-                    .copied()
-                    .unwrap_or(UNTRACKED);
-                if w != UNTRACKED {
-                    self.undo.push((w, self.state[w as usize]));
-                    self.state[w as usize] = t.0;
-                }
-            }
             self.order.push(t);
             if self.search(idx) {
                 return true;
             }
             self.order.pop();
-            for (w, old) in self.undo.drain(mark..).rev() {
-                self.state[w as usize] = old;
-            }
             self.committed[slot] = false;
             self.state[s] = word;
         }
@@ -457,6 +536,21 @@ mod tests {
             let e = Event::new(self.fresh(), EventKind::Commit);
             self.h.append_event(SessionId(s), e);
         }
+        fn abort(&mut self, s: u32) {
+            let e = Event::new(self.fresh(), EventKind::Abort);
+            self.h.append_event(SessionId(s), e);
+        }
+    }
+
+    /// Decides `h` on a fresh engine, checks the verdict and its evidence
+    /// against the axiom oracle, and returns the verdict with the number
+    /// of search nodes the engine visited.
+    fn decide_checked(h: &History, spec: &LevelSpec) -> (bool, u64) {
+        let expected = crate::axioms::oracle_satisfies_spec(h, spec);
+        let mut engine = crate::check::engine_for_spec(spec);
+        let verdict = engine.check_witnessed(h);
+        crate::testkit::assert_verdict_valid(h, spec, &verdict, expected, &format!("{spec}"));
+        (expected, engine.stats().search_nodes)
     }
 
     /// Lost update: both transactions read x from init and write it.
@@ -641,6 +735,152 @@ mod tests {
         let h = b.h;
         let spec = LevelSpec::uniform(SnapshotIsolation).with_override(1, 0, Serializability);
         assert!(satisfies_spec(&h, &spec));
+    }
+
+    #[test]
+    fn dead_overwrite_strands_a_ser_reader_in_another_session() {
+        // t3 reads x from init, so committing t1 (which writes x) before
+        // t3 is placed would strand it: the search refuses t1 until t3 is
+        // placed. Session 2's read of y from init holds back the writers
+        // of y in sessions 3 and 4 the same way.
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        let mut b = Builder::new();
+        let t1 = b.begin(0);
+        b.write(0, x, 1);
+        b.commit(0);
+        let t3 = b.begin(1);
+        b.read(1, x, TxId::INIT);
+        b.write(1, z, 1);
+        b.commit(1);
+        b.begin(2);
+        b.read(2, z, t3);
+        b.read(2, y, TxId::INIT);
+        b.commit(2);
+        b.begin(3);
+        b.write(3, y, 1);
+        b.commit(3);
+        b.begin(4);
+        b.write(4, y, 2);
+        b.commit(4);
+        let consistent = b.h.clone();
+        let spec = LevelSpec::uniform(Serializability);
+        assert_eq!(decide_checked(&consistent, &spec), (true, 5));
+        // A last reader of x from t1 and of z from init cannot be placed:
+        // it needs t1 in and t3 out, but t3 must precede t1.
+        b.begin(5);
+        b.read(5, x, t1);
+        b.read(5, z, TxId::INIT);
+        b.commit(5);
+        assert_eq!(decide_checked(&b.h, &spec), (false, 1));
+    }
+
+    #[test]
+    fn dead_overwrite_strands_a_pending_ser_reader() {
+        // t2 never commits, yet the search places it and its read of x
+        // from init must see init: t1 may not commit before it.
+        let x = Var(0);
+        let mut b = Builder::new();
+        let t1 = b.begin(0);
+        b.write(0, x, 1);
+        b.commit(0);
+        b.begin(1);
+        b.read(1, x, TxId::INIT);
+        b.begin(2);
+        b.read(2, x, t1);
+        b.commit(2);
+        let spec = LevelSpec::uniform(Serializability);
+        assert_eq!(decide_checked(&b.h, &spec), (true, 3));
+    }
+
+    #[test]
+    fn dead_overwrite_strands_an_aborted_ser_reader() {
+        // An aborted transaction's writes are invisible, but its reads are
+        // still snapshot reads at SER: t2 must be placed before t1.
+        let (x, y) = (Var(0), Var(1));
+        let mut b = Builder::new();
+        let t1 = b.begin(0);
+        b.write(0, x, 1);
+        b.commit(0);
+        b.begin(1);
+        b.read(1, x, TxId::INIT);
+        b.write(1, y, 1);
+        b.abort(1);
+        b.begin(2);
+        b.read(2, x, t1);
+        b.read(2, y, TxId::INIT);
+        b.commit(2);
+        let spec = LevelSpec::uniform(Serializability);
+        assert_eq!(decide_checked(&b.h, &spec), (true, 3));
+    }
+
+    #[test]
+    fn dead_overwrite_guards_an_si_reader_only_until_its_start() {
+        // t2 (SI) reads x from init and writes y; t3 (SER) reads x from t1
+        // and y from init. The only commit order starts t2, commits t1
+        // inside t2's interval, places t3 and then commits t2. Before
+        // t2's start the rule refuses t1; after it, t1 must be allowed.
+        let (x, y) = (Var(0), Var(1));
+        let mut b = Builder::new();
+        let t1 = b.begin(0);
+        b.write(0, x, 1);
+        b.commit(0);
+        b.begin(1);
+        b.read(1, x, TxId::INIT);
+        b.write(1, y, 1);
+        b.commit(1);
+        b.begin(2);
+        b.read(2, x, t1);
+        b.read(2, y, TxId::INIT);
+        b.commit(2);
+        let spec = LevelSpec::uniform(Serializability).with_override(1, 0, SnapshotIsolation);
+        assert_eq!(decide_checked(&b.h, &spec), (true, 4));
+        // At PC the same interval carries the same snapshot.
+        let spec = LevelSpec::uniform(Serializability).with_override(1, 0, PrefixConsistency);
+        assert_eq!(decide_checked(&b.h, &spec), (true, 4));
+    }
+
+    #[test]
+    fn failed_states_are_keyed_on_the_session_frontier() {
+        // Two RC readers force t1 < t2 and t2 < t1, so the search fails,
+        // but only after trying every order of the other transactions.
+        // Once session 4 has read y from init, the blind writers of y in
+        // sessions 5 and 6 commit in either order: the two prefixes reach
+        // one frontier with different last writers of y, and the second
+        // is a failed state. The writers of z give that frontier
+        // successors, which a key holding last writers would search again.
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        let mut b = Builder::new();
+        let t1 = b.begin(0);
+        b.write(0, x, 1);
+        b.commit(0);
+        let t2 = b.begin(1);
+        b.write(1, x, 2);
+        b.commit(1);
+        b.begin(2);
+        b.read(2, x, t2);
+        b.read(2, x, t1);
+        b.commit(2);
+        b.begin(3);
+        b.read(3, x, t1);
+        b.read(3, x, t2);
+        b.commit(3);
+        b.begin(4);
+        b.read(4, y, TxId::INIT);
+        b.commit(4);
+        for (s, v) in [(5, 1), (6, 2)] {
+            b.begin(s);
+            b.write(s, y, v);
+            b.commit(s);
+        }
+        for (s, v) in [(7, 1), (8, 2)] {
+            b.begin(s);
+            b.write(s, z, v);
+            b.commit(s);
+        }
+        let spec = LevelSpec::uniform(Serializability)
+            .with_override(2, 0, ReadCommitted)
+            .with_override(3, 0, ReadCommitted);
+        assert_eq!(decide_checked(&b.h, &spec), (false, 41));
     }
 
     #[test]
