@@ -9,16 +9,20 @@
 //! ```
 //!
 //! where `α` is a read event, `t1` the transaction it reads from, and `φ`
-//! varies per axiom. The efficient checkers live in [`crate::check`]; the
-//! functions here are used by tests and property-based cross-validation.
+//! varies per axiom. The efficient checkers live in [`crate::check`]. Here,
+//! [`axioms_hold_spec`] instantiates the axioms literally and backs the
+//! exponential oracle used by tests and cross-validation, while
+//! [`check_with_order_spec`] decides the same predicate on one given
+//! commit order in a pass over the reads: it re-validates every witness.
 
 use std::collections::BTreeMap;
 
-use crate::event::EventId;
+use crate::arena::TxSet;
+use crate::event::{EventId, EventKind};
 use crate::history::History;
 use crate::isolation::{IsolationLevel, LevelSpec};
 use crate::relations::Digraph;
-use crate::transaction::TxId;
+use crate::transaction::{TransactionLog, TxId};
 use crate::value::Var;
 
 /// One axiom of the framework.
@@ -185,28 +189,257 @@ pub fn check_with_order(h: &History, level: IsolationLevel, order: &[TxId]) -> b
 /// valid witness that `h` satisfies `spec` — a permutation of all
 /// transactions of `h` (init included) that extends `so ∪ wr` and satisfies
 /// the axioms of every reader's assigned level.
+///
+/// This is what [`Witness::replays`](crate::Witness::replays) runs on every
+/// witness the engines return, so it decides the literal definition — the
+/// pairwise `so` and `wr` conditions and [`axioms_hold_spec`] over
+/// [`CommitOrder`] — in one pass over the reads instead of instantiating
+/// every axiom. Positions live in a dense `TxId ↦ position` table (an id
+/// repeated in `order` takes its last position, as in
+/// [`CommitOrder::from_sequence`]). `so ⊆ co` is tested on consecutive
+/// session pairs with init first and `wr ⊆ co` once per read. Writers are
+/// listed once per variable in order of position, and a read `α` of `t3`
+/// from `t1` only tests the writers placed after `t1`: a writer `t2`
+/// placed before `t1` satisfies every axiom's conclusion. Each premise
+/// `φ(t2, α)` is read from data computed once per reader:
+///
+/// - RC: the sources of the reads of `t3` that precede `α`;
+/// - RA: `so` and the sources of all reads of `t3`;
+/// - CC: the causal ancestors of `t3`;
+/// - SER: `t2` before `t3`, i.e. a position bound;
+/// - Prefix: `t2` at or before the latest direct `so ∪ wr` predecessor of
+///   `t3`, a position bound;
+/// - Conflict: `t2` at or before the latest transaction placed before
+///   `t3` that writes a variable `t3` writes, a position bound.
+///
+/// Under a bound only the first writer after `t1` can violate it. The
+/// check uses only [`History`] queries, never the engines, so a witness
+/// stays checkable without trusting the search that produced it.
 pub fn check_with_order_spec(h: &History, spec: &LevelSpec, order: &[TxId]) -> bool {
-    let co = CommitOrder::from_sequence(order);
-    if co.len() != h.num_transactions() + 1 {
+    let Some(pos) = Positions::of_permutation(h, order) else {
         return false;
-    }
-    for t in all_txs(h) {
-        if !co.pos.contains_key(&t) {
-            return false;
+    };
+    // so ⊆ co: init first, then every session in order. Positions are
+    // distinct, so the consecutive pairs imply all the others.
+    let init = pos.at(TxId::INIT);
+    for (_, txs) in h.sessions() {
+        let mut prev = init;
+        for &t in txs {
+            let p = pos.at(t);
+            if p <= prev {
+                return false;
+            }
+            prev = p;
         }
     }
-    // co must extend session order and the write-read relation. The wr
-    // edges are checked from their list: testing every transaction pair
-    // for one costs a pass over all wr edges per pair, which dominates the
-    // replay of a recorded store history.
-    for a in all_txs(h) {
-        for b in all_txs(h) {
-            if a != b && h.so_before(a, b) && !co.before(a, b) {
-                return false;
+    // wr ⊆ co, once per read, while listing the writers of every variable.
+    let mut writers = Vec::new();
+    for log in h.transactions() {
+        let p = pos.at(log.id);
+        let aborted = log.is_aborted();
+        for e in &log.events {
+            match e.kind {
+                EventKind::Read(_) => match h.wr_of(e.id) {
+                    Some(w) if w != log.id && !pos.get(w).is_some_and(|q| q < p) => {
+                        return false;
+                    }
+                    _ => {}
+                },
+                EventKind::Write(x, _) if !aborted => writers.push((x, p, log.id)),
+                _ => {}
             }
         }
     }
-    h.wr_tx_edges().into_iter().all(|(a, b)| co.before(a, b)) && axioms_hold_spec(h, spec, &co)
+    writers.sort_unstable_by_key(|&(x, p, _)| (x, p));
+    writers.dedup_by_key(|&mut (x, p, _)| (x, p));
+    let mut replay = Replay {
+        h,
+        marks: vec![0; pos.0.len()],
+        stamp: 0,
+        pos,
+        writers,
+    };
+    h.transactions().all(|log| replay.reader_holds(spec, log))
+}
+
+/// Sentinel of an unplaced transaction in [`Positions`].
+const UNPLACED: usize = usize::MAX;
+
+/// A commit order as a dense `TxId ↦ position` table.
+struct Positions(Vec<usize>);
+
+impl Positions {
+    /// The positions of `order` if its ids are exactly the transactions of
+    /// `h`, init included (repeats allowed, the last position wins);
+    /// `None` for a missing or foreign id.
+    fn of_permutation(h: &History, order: &[TxId]) -> Option<Positions> {
+        let mut table = vec![UNPLACED; h.max_tx_id() as usize + 1];
+        let mut distinct = 0;
+        for (i, &t) in order.iter().enumerate() {
+            if !h.contains_tx(t) {
+                return None;
+            }
+            let k = t.0 as usize;
+            if k >= table.len() {
+                table.resize(k + 1, UNPLACED);
+            }
+            if table[k] == UNPLACED {
+                distinct += 1;
+            }
+            table[k] = i;
+        }
+        (distinct == h.num_transactions() + 1).then_some(Positions(table))
+    }
+
+    /// The position of `t`, if placed.
+    fn get(&self, t: TxId) -> Option<usize> {
+        self.0.get(t.0 as usize).copied().filter(|&p| p != UNPLACED)
+    }
+
+    /// The position of a transaction of the history (all are placed).
+    fn at(&self, t: TxId) -> usize {
+        self.0[t.0 as usize]
+    }
+}
+
+/// What a reader's level asks of a writer `t2` placed after a read's
+/// source: the disjunction of the premises `φ(t2, α)` of its axioms.
+enum Premise {
+    /// SER, PC, SI: `t2` is placed before this position.
+    Before(usize),
+    /// RC: `t2` is the source of a read of the reader that precedes `α`
+    /// (marked with the current stamp as the reads are visited).
+    EarlierSource,
+    /// RA: `t2` is `so`-before the reader or the source of one of its
+    /// reads (marked with the current stamp).
+    Direct,
+    /// CC: `t2` is a causal ancestor of the reader.
+    Ancestor(TxSet),
+}
+
+/// The state of one [`check_with_order_spec`] call once the permutation,
+/// `so` and `wr` conditions hold.
+struct Replay<'h> {
+    h: &'h History,
+    pos: Positions,
+    /// `(variable, position, writer)` of every visible write, sorted by
+    /// variable then position (init left implicit: it is placed first).
+    writers: Vec<(Var, usize, TxId)>,
+    /// Per-transaction stamps of the RC and RA premises.
+    marks: Vec<u32>,
+    stamp: u32,
+}
+
+impl Replay<'_> {
+    /// The writers of `x` other than init, in order of position.
+    fn writers_of(&self, x: Var) -> &[(Var, usize, TxId)] {
+        let from = self.writers.partition_point(|w| w.0 < x);
+        let to = self.writers.partition_point(|w| w.0 <= x);
+        &self.writers[from..to]
+    }
+
+    /// Clears the marks for the next reader.
+    fn next_stamp(&mut self) {
+        self.stamp += 1;
+    }
+
+    fn mark(&mut self, t: TxId) {
+        self.marks[t.0 as usize] = self.stamp;
+    }
+
+    fn marked(&self, t: TxId) -> bool {
+        self.marks[t.0 as usize] == self.stamp
+    }
+
+    /// Whether every read of `log` satisfies the axioms of its level.
+    fn reader_holds(&mut self, spec: &LevelSpec, log: &TransactionLog) -> bool {
+        let h = self.h;
+        let t3 = log.id;
+        let p3 = self.pos.at(t3);
+        let premise = match spec.level_of_tx(h, t3) {
+            IsolationLevel::Trivial => return true,
+            IsolationLevel::ReadCommitted => {
+                self.next_stamp();
+                Premise::EarlierSource
+            }
+            IsolationLevel::ReadAtomic => {
+                self.next_stamp();
+                for w in log.read_events().filter_map(|e| h.wr_of(e.id)) {
+                    self.mark(w);
+                }
+                Premise::Direct
+            }
+            IsolationLevel::CausalConsistency => Premise::Ancestor(h.causal_ancestors(t3)),
+            IsolationLevel::Serializability => Premise::Before(p3),
+            IsolationLevel::PrefixConsistency => Premise::Before(self.latest_direct(log) + 1),
+            IsolationLevel::SnapshotIsolation => {
+                let prefix = self.latest_direct(log);
+                let conflict = self.latest_conflict(log).unwrap_or(prefix);
+                Premise::Before(prefix.max(conflict) + 1)
+            }
+        };
+        for e in log.read_events() {
+            let (Some(t1), Some(x)) = (h.wr_of(e.id), e.var()) else {
+                continue;
+            };
+            let p1 = self.pos.at(t1);
+            let writers = self.writers_of(x);
+            let after = &writers[writers.partition_point(|w| w.1 <= p1)..];
+            let violated = match &premise {
+                Premise::Before(bound) => after.first().is_some_and(|w| w.1 < *bound),
+                Premise::EarlierSource => after.iter().any(|w| self.marked(w.2)),
+                Premise::Direct => after
+                    .iter()
+                    .any(|w| self.marked(w.2) || h.so_before(w.2, t3)),
+                Premise::Ancestor(anc) => after.iter().any(|w| w.2 != t3 && anc.contains(w.2)),
+            };
+            if violated {
+                return false;
+            }
+            if let Premise::EarlierSource = premise {
+                self.mark(t1);
+            }
+        }
+        true
+    }
+
+    /// The latest position of a direct `so ∪ wr` predecessor of `log`: its
+    /// session predecessor (init for the first) or the source of one of its
+    /// reads.
+    fn latest_direct(&self, log: &TransactionLog) -> usize {
+        let h = self.h;
+        let sidx = h
+            .tx_session_index(log.id)
+            .expect("transaction of the history");
+        let so_pred = match sidx {
+            0 => TxId::INIT,
+            i => h.session_txs(log.session)[i - 1],
+        };
+        log.read_events()
+            .filter_map(|e| h.wr_of(e.id))
+            .map(|w| self.pos.at(w))
+            .fold(self.pos.at(so_pred), usize::max)
+    }
+
+    /// The latest position before `log` of a transaction (init included)
+    /// writing a variable `log` writes; `None` when it writes nothing.
+    fn latest_conflict(&self, log: &TransactionLog) -> Option<usize> {
+        if log.is_aborted() {
+            return None;
+        }
+        let p3 = self.pos.at(log.id);
+        let init = self.pos.at(TxId::INIT);
+        log.write_events()
+            .filter_map(|e| e.var())
+            .map(|y| {
+                let writers = self.writers_of(y);
+                match writers.partition_point(|w| w.1 < p3) {
+                    0 => init,
+                    k => writers[k - 1].1,
+                }
+            })
+            .max()
+    }
 }
 
 /// Slow reference checker: enumerates every total order extending
@@ -397,6 +630,19 @@ mod tests {
             IsolationLevel::CausalConsistency,
             &[TxId::INIT]
         ));
+        // A repeated id takes its last position; a foreign id is rejected.
+        let cc = IsolationLevel::CausalConsistency;
+        assert!(check_with_order(
+            &h,
+            cc,
+            &[TxId(2), TxId::INIT, TxId(1), TxId(2)]
+        ));
+        assert!(!check_with_order(
+            &h,
+            cc,
+            &[TxId::INIT, TxId(2), TxId(1), TxId::INIT]
+        ));
+        assert!(!check_with_order(&h, cc, &[TxId::INIT, TxId(1), TxId(9)]));
     }
 
     #[test]

@@ -99,7 +99,10 @@ impl Witness {
     /// Replays the witness against the axioms: whether `commit_order` is a
     /// permutation of all transactions of `h` extending `so ∪ wr` whose
     /// induced total order satisfies `spec`
-    /// ([`crate::axioms::check_with_order_spec`]).
+    /// ([`crate::axioms::check_with_order_spec`]). The replay reads only
+    /// [`History`] queries, never an engine or its indexes, so it checks a
+    /// witness without trusting the search that produced it; it costs one
+    /// pass over the reads plus a causal-ancestor set per CC reader.
     pub fn replays(&self, h: &History, spec: &LevelSpec) -> bool {
         check_with_order_spec(h, spec, &self.commit_order)
     }

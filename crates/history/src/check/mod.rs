@@ -62,10 +62,17 @@ pub fn satisfies(h: &History, level: IsolationLevel) -> bool {
 mod tests {
     use super::*;
     use crate::axioms::oracle_satisfies;
-    use crate::testkit::{assert_verdict_valid, random_history, XorShift};
+    use crate::testkit::{
+        assert_verdict_valid, random_history, random_history_with_pending_and_aborted, XorShift,
+    };
 
-    #[test]
-    fn specialised_checkers_agree_with_oracle_on_random_histories() {
+    /// A history generator of [`crate::testkit`]: `(seed, sessions,
+    /// max transactions per session, variables)`.
+    type Generator = fn(u64, u32, u32, u32) -> History;
+
+    /// Every uniform level's checker against the axiom oracle on 400
+    /// generated 3-session histories.
+    fn specialised_checkers_agree_with_oracle(generate: Generator) {
         let levels = [
             IsolationLevel::ReadCommitted,
             IsolationLevel::ReadAtomic,
@@ -75,7 +82,7 @@ mod tests {
             IsolationLevel::Serializability,
         ];
         for seed in 0..400u64 {
-            let h = random_history(seed, 3, 2, 2);
+            let h = generate(seed, 3, 2, 2);
             for level in levels {
                 let fast = satisfies(&h, level);
                 let slow = oracle_satisfies(&h, level);
@@ -88,27 +95,26 @@ mod tests {
     }
 
     #[test]
-    fn mixed_checker_agrees_with_oracle_on_random_histories_and_specs() {
-        // The operational mixed checker (forced edges + commit-order
-        // search with SI intervals) against the axiom-level oracle that
-        // instantiates each read's axioms by its reader's level — over
-        // random histories and random per-transaction assignments drawn
-        // from ALL levels, SI and `true` included.
+    fn specialised_checkers_agree_with_oracle_on_random_histories() {
+        specialised_checkers_agree_with_oracle(random_history);
+    }
+
+    #[test]
+    fn specialised_checkers_agree_with_oracle_with_pending_and_aborted_transactions() {
+        specialised_checkers_agree_with_oracle(random_history_with_pending_and_aborted);
+    }
+
+    /// The operational mixed checker (forced edges + commit-order search
+    /// with SI intervals) against the axiom-level oracle that instantiates
+    /// each read's axioms by its reader's level — over 300 generated
+    /// histories and random per-transaction assignments drawn from ALL
+    /// levels, SI and `true` included.
+    fn mixed_checker_agrees_with_oracle(generate: Generator) {
         use crate::axioms::oracle_satisfies_spec;
+        use crate::testkit::random_spec;
         for seed in 0..300u64 {
-            let h = random_history(seed, 3, 2, 2);
-            let mut rng = XorShift(seed.wrapping_mul(0x9e3779b9).wrapping_add(0xabcdef));
-            let n = IsolationLevel::ALL.len() as u64;
-            let default = IsolationLevel::ALL[rng.below(n) as usize];
-            let mut spec = LevelSpec::uniform(default);
-            for (sid, txs) in h.sessions() {
-                for k in 0..txs.len() {
-                    if rng.below(2) == 0 {
-                        let l = IsolationLevel::ALL[rng.below(n) as usize];
-                        spec = spec.with_override(sid.0, k as u32, l);
-                    }
-                }
-            }
+            let h = generate(seed, 3, 2, 2);
+            let spec = random_spec(seed, &h);
             let fast = satisfies_spec(&h, &spec);
             let slow = oracle_satisfies_spec(&h, &spec);
             assert_eq!(
@@ -116,6 +122,16 @@ mod tests {
                 "mixed checker mismatch for spec {spec} on seed {seed}:\n{h}"
             );
         }
+    }
+
+    #[test]
+    fn mixed_checker_agrees_with_oracle_on_random_histories_and_specs() {
+        mixed_checker_agrees_with_oracle(random_history);
+    }
+
+    #[test]
+    fn mixed_checker_agrees_with_oracle_with_pending_and_aborted_transactions() {
+        mixed_checker_agrees_with_oracle(random_history_with_pending_and_aborted);
     }
 
     #[test]
@@ -134,16 +150,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn four_session_corpus_agrees_with_the_oracle() {
-        // A wider corpus than the 3-session ones above (4 sessions, ≤2
-        // transactions each, 3 variables): every uniform level and a
-        // random spec per history, decided by a memoised engine against
-        // the axiom oracle, with the engine's witness or core validated.
+    /// A wider corpus than the 3-session ones above (4 sessions, ≤2
+    /// transactions each, 3 variables): every uniform level and a random
+    /// spec per history, decided by a memoised engine against the axiom
+    /// oracle, with the engine's witness or core validated.
+    fn four_session_corpus_agrees_with_oracle(generate: Generator) {
         use crate::axioms::oracle_satisfies_spec;
         use crate::testkit::random_spec;
         for seed in 0..150u64 {
-            let h = random_history(seed, 4, 2, 3);
+            let h = generate(seed, 4, 2, 3);
             let specs = IsolationLevel::ALL
                 .into_iter()
                 .map(LevelSpec::uniform)
@@ -166,6 +181,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn four_session_corpus_agrees_with_the_oracle() {
+        four_session_corpus_agrees_with_oracle(random_history);
+    }
+
+    #[test]
+    fn four_session_corpus_with_pending_and_aborted_transactions_agrees_with_the_oracle() {
+        four_session_corpus_agrees_with_oracle(random_history_with_pending_and_aborted);
     }
 
     #[test]

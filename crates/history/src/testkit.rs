@@ -40,8 +40,31 @@ impl XorShift {
 /// `max_tx` transactions each, over `n_vars` variables. Reads pick an
 /// arbitrary committed-so-far writer of the variable (or init), so the
 /// result is always a well-formed history though not necessarily
-/// consistent with any particular level.
+/// consistent with any particular level. Every transaction commits.
 pub fn random_history(seed: u64, n_sessions: u32, max_tx: u32, n_vars: u32) -> History {
+    generate(seed, n_sessions, max_tx, n_vars, false)
+}
+
+/// Like [`random_history`], but a transaction may also abort, and the
+/// last transaction of a session may stay pending. Reads still pick a
+/// committed writer (or init): aborted and pending writes are never read.
+/// The checkers treat pending and aborted transactions as readers like
+/// any other (under SER, SI and PC they take snapshots too), which the
+/// all-committed corpus never exercises.
+pub fn random_history_with_pending_and_aborted(
+    seed: u64,
+    n_sessions: u32,
+    max_tx: u32,
+    n_vars: u32,
+) -> History {
+    generate(seed, n_sessions, max_tx, n_vars, true)
+}
+
+/// The generator behind [`random_history`] and
+/// [`random_history_with_pending_and_aborted`]; the status draw is only
+/// made when `unfinished` is set, so `random_history`'s stream and output
+/// do not depend on it.
+fn generate(seed: u64, n_sessions: u32, max_tx: u32, n_vars: u32, unfinished: bool) -> History {
     let mut rng = XorShift(seed.wrapping_mul(2654435761).wrapping_add(1));
     let mut h = History::new([]);
     let mut next_event = 0u32;
@@ -93,12 +116,25 @@ pub fn random_history(seed: u64, n_sessions: u32, max_tx: u32, n_vars: u32) -> H
                     }
                 }
             }
-            h.append_event(
-                SessionId(s),
-                Event::new(fresh(&mut next_event), EventKind::Commit),
-            );
-            for x in wrote {
-                committed_writers.push((x, tx));
+            // A quarter of the transactions abort; a session's last one
+            // stays pending with the same odds.
+            let end = if !unfinished {
+                Some(EventKind::Commit)
+            } else {
+                match rng.below(4) {
+                    0 => Some(EventKind::Abort),
+                    1 if idx + 1 == n_tx => None,
+                    _ => Some(EventKind::Commit),
+                }
+            };
+            let commits = end == Some(EventKind::Commit);
+            if let Some(kind) = end {
+                h.append_event(SessionId(s), Event::new(fresh(&mut next_event), kind));
+            }
+            if commits {
+                for x in wrote {
+                    committed_writers.push((x, tx));
+                }
             }
         }
     }
@@ -122,6 +158,58 @@ pub fn random_spec(seed: u64, h: &History) -> LevelSpec {
         }
     }
     spec
+}
+
+/// The literal witness check: `order` is a permutation of the
+/// transactions of `h` (init included), every `so` pair and every
+/// transaction-level `wr` edge is ordered by it, and
+/// [`axioms::axioms_hold_spec`] holds for it. This is the definition
+/// [`axioms::check_with_order_spec`] decides in one pass over the reads;
+/// the differential replay tests require the two to answer alike.
+pub fn literal_check_with_order_spec(h: &History, spec: &LevelSpec, order: &[TxId]) -> bool {
+    let co = axioms::CommitOrder::from_sequence(order);
+    let txs: Vec<TxId> = std::iter::once(TxId::INIT).chain(h.tx_ids()).collect();
+    co.len() == txs.len()
+        && txs.iter().all(|t| order.contains(t))
+        && txs
+            .iter()
+            .all(|&a| txs.iter().all(|&b| !h.so_before(a, b) || co.before(a, b)))
+        && h.wr_tx_edges().into_iter().all(|(a, b)| co.before(a, b))
+        && axioms::axioms_hold_spec(h, spec, &co)
+}
+
+/// Variants of a commit order for differential replay tests, each with its
+/// name: two adjacent ids swapped, a window rotated by one, one id dropped,
+/// one id duplicated, one id replaced by a foreign one. `seed` picks the
+/// positions. Orders shorter than two ids get no swap or rotation.
+pub fn perturbed_orders(h: &History, order: &[TxId], seed: u64) -> Vec<(&'static str, Vec<TxId>)> {
+    let mut rng = XorShift(seed.wrapping_mul(0x2545f4914f6cdd1d).wrapping_add(7));
+    let n = order.len() as u64;
+    let mut out = Vec::new();
+    if n >= 2 {
+        let i = rng.below(n - 1) as usize;
+        let mut swapped = order.to_vec();
+        swapped.swap(i, i + 1);
+        out.push(("swap", swapped));
+        let from = rng.below(n - 1) as usize;
+        let to = from + 2 + rng.below(n - from as u64 - 1) as usize;
+        let mut rotated = order.to_vec();
+        rotated[from..to].rotate_left(1);
+        out.push(("rotate", rotated));
+    }
+    if n >= 1 {
+        let mut dropped = order.to_vec();
+        dropped.remove(rng.below(n) as usize);
+        out.push(("drop", dropped));
+        let mut duplicated = order.to_vec();
+        let copy = duplicated[rng.below(n) as usize];
+        duplicated.insert(rng.below(n + 1) as usize, copy);
+        out.push(("duplicate", duplicated));
+        let mut foreign = order.to_vec();
+        foreign[rng.below(n) as usize] = TxId(h.max_tx_id() + 1);
+        out.push(("foreign", foreign));
+    }
+    out
 }
 
 /// Validates an evidence verdict against the history it was produced

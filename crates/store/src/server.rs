@@ -65,19 +65,19 @@ impl Oracle {
         Oracle { next: 0 }
     }
 
-    /// Handles a timestamp request, replying to `from`.
-    pub fn handle(&mut self, from: Addr, req_id: u64, req: &Request) -> Vec<(Addr, Message)> {
+    /// Handles a timestamp request, returning the reply to `from`.
+    pub fn handle(&mut self, from: Addr, req_id: u64, req: &Request) -> (Addr, Message) {
         match req {
             Request::StartTs | Request::CommitTs => {
                 self.next += 1;
-                vec![(
+                (
                     from,
                     Message {
                         from: Addr::Oracle,
                         req_id,
                         payload: Payload::Reply(Reply::Ts(self.next)),
                     },
-                )]
+                )
             }
             // The router only ever addresses the oracle with Ts requests.
             other => unreachable!("oracle received a non-timestamp request: {other:?}"),
@@ -327,25 +327,24 @@ impl Shard {
         self.release_locks(txn);
     }
 
-    /// Handles one request, returning the replies to send.
-    pub fn handle(&mut self, from: Addr, req_id: u64, req: Request) -> Vec<(Addr, Message)> {
+    /// Handles one request, returning the reply to send: every data-plane
+    /// request is answered by exactly one message.
+    pub fn handle(&mut self, from: Addr, req_id: u64, req: Request) -> (Addr, Message) {
         match req {
             Request::Read {
                 txn,
                 var,
                 snapshot,
                 lock,
-            } => vec![self.handle_read(from, req_id, txn, var, snapshot, lock)],
+            } => self.handle_read(from, req_id, txn, var, snapshot, lock),
             Request::Prewrite {
                 txn,
                 start_ts,
                 writes,
                 conflict_check,
-            } => vec![self.handle_prewrite(from, req_id, txn, start_ts, writes, conflict_check)],
-            Request::Commit { txn, commit_ts } => {
-                vec![self.handle_commit(from, req_id, txn, commit_ts)]
-            }
-            Request::Abort { txn } => vec![self.handle_abort(from, req_id, txn)],
+            } => self.handle_prewrite(from, req_id, txn, start_ts, writes, conflict_check),
+            Request::Commit { txn, commit_ts } => self.handle_commit(from, req_id, txn, commit_ts),
+            Request::Abort { txn } => self.handle_abort(from, req_id, txn),
             // The router only ever addresses shards with data-plane requests.
             other => unreachable!("shard {} received a non-shard request: {other:?}", self.id),
         }
@@ -706,14 +705,8 @@ mod tests {
         }
     }
 
-    fn expect_reply(mut replies: Vec<(Addr, Message)>) -> Reply {
-        assert_eq!(replies.len(), 1);
-        match replies
-            .pop()
-            .expect("asserted a single reply above")
-            .1
-            .payload
-        {
+    fn expect_reply((_, reply): (Addr, Message)) -> Reply {
+        match reply.payload {
             Payload::Reply(r) => r,
             other => panic!("expected a reply, got {other:?}"),
         }

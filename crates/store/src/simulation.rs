@@ -200,36 +200,33 @@ impl Network {
             self.dropped += 1;
             return;
         }
-        let copies = if self.rng.gen_bool(self.faults.dup) {
+        if self.rng.gen_bool(self.faults.dup) {
             self.duplicated += 1;
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let mut delay = self
-                .rng
-                .gen_range(self.faults.delay_us.0..=self.faults.delay_us.1);
-            if self.rng.gen_bool(self.faults.reorder) {
-                delay += self.rng.gen_range(0..=self.faults.reorder_extra_us);
-            }
-            self.messages += 1;
-            self.push(
-                now + delay.max(1),
-                SimEvent::Deliver {
-                    dst: to,
-                    msg: msg.clone(),
-                },
-            );
+            self.deliver(now, to, msg.clone());
         }
+        self.deliver(now, to, msg);
     }
 
-    /// Applies the side effects of a client step at time `now`.
-    fn apply(&mut self, now: u64, client: u32, fx: Effects) {
-        for (to, msg) in fx.sends {
+    /// Schedules the delivery of one copy of a message: base delay plus an
+    /// occasional reorder spike.
+    fn deliver(&mut self, now: u64, to: Addr, msg: Message) {
+        let mut delay = self
+            .rng
+            .gen_range(self.faults.delay_us.0..=self.faults.delay_us.1);
+        if self.rng.gen_bool(self.faults.reorder) {
+            delay += self.rng.gen_range(0..=self.faults.reorder_extra_us);
+        }
+        self.messages += 1;
+        self.push(now + delay.max(1), SimEvent::Deliver { dst: to, msg });
+    }
+
+    /// Applies the side effects of a client step at time `now`, leaving
+    /// the buffer empty for the next step.
+    fn apply(&mut self, now: u64, client: u32, fx: &mut Effects) {
+        for (to, msg) in fx.sends.drain(..) {
             self.send(now, Addr::Client(client), to, msg);
         }
-        for (delay, kind) in fx.timers {
+        for (delay, kind) in fx.timers.drain(..) {
             self.push(now + delay.max(1), SimEvent::Timer { client, kind });
         }
     }
@@ -237,14 +234,29 @@ impl Network {
 
 /// Runs one simulation to completion (all clients done, queue drained, or
 /// the time cap reached) and records the committed execution.
+///
+/// The loop keeps no buffers of its own per message step: shard and
+/// oracle handlers return their one reply, a message is moved into its
+/// last copy on the wire, and the client steps share one effects buffer. The run is
+/// bit-identical to [`run_simulation_traced`] on the same config; only
+/// the list of decision points is not kept.
 pub fn run_simulation(config: &SimConfig) -> SimOutcome {
-    run_simulation_traced(config).0
+    run(config, None)
 }
 
 /// Like [`run_simulation`], additionally returning the sorted distinct
 /// simulated times (µs) at which events were processed — the decision
-/// points a crash-at-every-step sweep can target.
+/// points a crash-at-every-step sweep can target. Recording them is the
+/// only difference: the outcome equals `run_simulation`'s.
 pub fn run_simulation_traced(config: &SimConfig) -> (SimOutcome, Vec<u64>) {
+    let mut trace = Vec::new();
+    let outcome = run(config, Some(&mut trace));
+    (outcome, trace)
+}
+
+/// The simulation loop, pushing each distinct processing time to `trace`
+/// when one is given.
+fn run(config: &SimConfig, mut trace: Option<&mut Vec<u64>>) -> SimOutcome {
     let mut vars = VarTable::new();
     let init = config.program.initial_values_interned(&mut vars);
     let num_clients = config.program.sessions.len() as u32;
@@ -294,7 +306,6 @@ pub fn run_simulation_traced(config: &SimConfig) -> (SimOutcome, Vec<u64>) {
     let mut invariant_breaches: Vec<String> = Vec::new();
     let mut crashes_injected = 0u64;
     let mut crash_drops = 0u64;
-    let mut trace: Vec<u64> = Vec::new();
 
     // Crash schedules are part of the plan, not of the random stream:
     // every window becomes one Crash and one Restart event up front, so
@@ -305,10 +316,11 @@ pub fn run_simulation_traced(config: &SimConfig) -> (SimOutcome, Vec<u64>) {
         net.push(c.until_us, SimEvent::Restart { shard });
     }
 
+    // One buffer for every client step of the run, drained by `apply`.
+    let mut fx = Effects::default();
     for (i, client) in clients.iter_mut().enumerate() {
-        let mut fx = Effects::default();
         client.start(&mut vars, &mut committed, &mut errors, &mut fx);
-        net.apply(0, i as u32, fx);
+        net.apply(0, i as u32, &mut fx);
     }
 
     let mut now = 0u64;
@@ -320,8 +332,10 @@ pub fn run_simulation_traced(config: &SimConfig) -> (SimOutcome, Vec<u64>) {
             break;
         }
         now = qe.time;
-        if trace.last() != Some(&now) {
-            trace.push(now);
+        if let Some(trace) = trace.as_deref_mut() {
+            if trace.last() != Some(&now) {
+                trace.push(now);
+            }
         }
         match qe.ev {
             SimEvent::Crash { shard } => {
@@ -346,11 +360,9 @@ pub fn run_simulation_traced(config: &SimConfig) -> (SimOutcome, Vec<u64>) {
                     } else {
                         match msg.payload {
                             Payload::Request(req) => {
-                                for (to, reply) in
-                                    shards[i as usize].handle(msg.from, msg.req_id, req)
-                                {
-                                    net.send(now, dst, to, reply);
-                                }
+                                let (to, reply) =
+                                    shards[i as usize].handle(msg.from, msg.req_id, req);
+                                net.send(now, dst, to, reply);
                             }
                             // A coordinator's answer to a recovery query.
                             Payload::Reply(Reply::Decision { txn, decision }) => {
@@ -362,13 +374,11 @@ pub fn run_simulation_traced(config: &SimConfig) -> (SimOutcome, Vec<u64>) {
                 }
                 Addr::Oracle => {
                     if let Payload::Request(req) = msg.payload {
-                        for (to, reply) in oracle.handle(msg.from, msg.req_id, &req) {
-                            net.send(now, dst, to, reply);
-                        }
+                        let (to, reply) = oracle.handle(msg.from, msg.req_id, &req);
+                        net.send(now, dst, to, reply);
                     }
                 }
                 Addr::Client(c) => {
-                    let mut fx = Effects::default();
                     clients[c as usize].on_message(
                         msg,
                         &mut vars,
@@ -376,11 +386,10 @@ pub fn run_simulation_traced(config: &SimConfig) -> (SimOutcome, Vec<u64>) {
                         &mut errors,
                         &mut fx,
                     );
-                    net.apply(now, c, fx);
+                    net.apply(now, c, &mut fx);
                 }
             },
             SimEvent::Timer { client, kind } => {
-                let mut fx = Effects::default();
                 clients[client as usize].on_timer(
                     kind,
                     &mut vars,
@@ -388,7 +397,7 @@ pub fn run_simulation_traced(config: &SimConfig) -> (SimOutcome, Vec<u64>) {
                     &mut errors,
                     &mut fx,
                 );
-                net.apply(now, client, fx);
+                net.apply(now, client, &mut fx);
             }
         }
     }
@@ -443,17 +452,14 @@ pub fn run_simulation_traced(config: &SimConfig) -> (SimOutcome, Vec<u64>) {
         indoubt_aborted: recovery.2,
     };
     let (history, claimed) = record(&committed, init, &config.deployment);
-    (
-        SimOutcome {
-            history,
-            vars,
-            claimed,
-            stats,
-            errors,
-            invariant_breaches,
-        },
-        trace,
-    )
+    SimOutcome {
+        history,
+        vars,
+        claimed,
+        stats,
+        errors,
+        invariant_breaches,
+    }
 }
 
 #[cfg(test)]
