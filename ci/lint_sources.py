@@ -26,12 +26,22 @@ Rules (each violation prints one `path:line: message` and fails the run):
 4. No `Instant::now` / `SystemTime` in `crates/store/src/simulation.rs`:
    simulated time is logical by construction, and a single wall-clock
    read would silently break run-to-run determinism.
+5. In non-test code of `crates/explore/src` and
+   `crates/history/src/check`, `Instant::now` appears only inside two
+   named items: the deadline countdown (`impl Deadline` in
+   `crates/explore/src/deadline.rs`) and the sampled check timer
+   (`impl MissTimer` in `crates/history/src/check/engine.rs`). A clock
+   read costs tens of nanoseconds, a few percent of an explorer node or
+   an incremental check, so the per-node and per-check paths must go
+   through these two, which read the clock once per stride.
 
-The `#[cfg(test)]` heuristic is deliberately coarse: everything from the
-first `#[cfg(test)]` attribute to the end of the file is treated as test
-code. Every file in these crates keeps its test module last, so the
-approximation is exact today and fails safe (lints too much, never too
-little) if a file ever interleaves them.
+Test code is a file's test module: everything from the `#[cfg(test)]`
+attribute that opens a `mod` to the end of the file. Every file in these
+crates keeps its test module last. Other `#[cfg(test)]` items (test-only
+fields and helpers) count as non-test code, so the rules lint them too.
+An item is found by its `impl <Name>` header and ends at the brace that
+closes it (braces are counted per line, so the item must not hold
+string literals with unbalanced braces).
 """
 
 from __future__ import annotations
@@ -45,14 +55,65 @@ REPO = Path(__file__).resolve().parent.parent
 UNWRAP = re.compile(r"\.unwrap\(")
 PANIC = re.compile(r"(?<![a-zA-Z_!])panic!\s*\(")
 WALL_CLOCK = re.compile(r"Instant::now|SystemTime")
+CLOCK_READ = re.compile(r"Instant::now")
+TEST_MODULE = re.compile(r"^\s*(pub(\([^)]*\))?\s+)?mod\s+\w+\s*\{")
+
+# Rule 5: the one item of each file that may read the clock.
+CLOCK_ITEMS = {
+    REPO / "crates" / "explore" / "src" / "deadline.rs": "Deadline",
+    REPO / "crates" / "history" / "src" / "check" / "engine.rs": "MissTimer",
+}
 
 
 def first_test_line(lines: list[str]) -> int:
-    """1-based line of the first `#[cfg(test)]`, or len+1 if absent."""
+    """1-based line of the `#[cfg(test)]` opening the test module (the
+    first one followed, past blank and attribute lines, by a `mod`), or
+    len+1 if absent."""
     for i, line in enumerate(lines, start=1):
-        if "#[cfg(test)]" in line:
-            return i
+        if line.strip() != "#[cfg(test)]":
+            continue
+        for after in lines[i:]:
+            if after.strip() == "" or after.strip().startswith("#["):
+                continue
+            if TEST_MODULE.match(after):
+                return i
+            break
     return len(lines) + 1
+
+
+def item_lines(lines: list[str], name: str) -> set[int]:
+    """1-based lines of every `impl <name>` block, header to closing brace."""
+    header = re.compile(rf"^\s*impl(<[^>]*>)?\s+{name}\b")
+    inside: set[int] = set()
+    depth = None
+    for i, line in enumerate(lines, start=1):
+        if depth is None:
+            if not header.match(line):
+                continue
+            depth = 0
+        inside.add(i)
+        depth += line.count("{") - line.count("}")
+        if depth == 0 and "}" in line:
+            depth = None
+    return inside
+
+
+def lint_clock_reads(path: Path) -> list[str]:
+    """Rule 5 for one file."""
+    lines = path.read_text().splitlines()
+    cutoff = first_test_line(lines)
+    name = CLOCK_ITEMS.get(path)
+    allowed = item_lines(lines, name) if name else set()
+    out = []
+    for i, line in enumerate(lines[: cutoff - 1], start=1):
+        if CLOCK_READ.search(line) and i not in allowed:
+            rel = path.relative_to(REPO)
+            out.append(
+                f"{rel}:{i}: `Instant::now` off the clock items — read the "
+                "clock through the explorer's `Deadline` or the engine's "
+                "`MissTimer`"
+            )
+    return out
 
 
 def lint_file(
@@ -127,6 +188,10 @@ def main() -> int:
                 '`unreachable!("...")` for invariants or a typed error',
                 non_test_only=True,
             )
+
+    for root in [explore_src, REPO / "crates" / "history" / "src" / "check"]:
+        for f in rust_sources(root):
+            violations += lint_clock_reads(f)
 
     violations += lint_file(
         store_src / "simulation.rs",

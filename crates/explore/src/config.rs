@@ -20,7 +20,9 @@ pub struct ExploreConfig {
     /// `explore-ce*` filters by a stronger — possibly mixed — target spec.
     pub output: LevelSpec,
     /// Wall-clock budget; exploration stops (reporting `timed_out`) when
-    /// exceeded.
+    /// exceeded. The clock is read at the first node and then once every
+    /// 256 nodes, so a run overshoots by fewer than 256 nodes and a zero
+    /// budget still stops before the first.
     pub timeout: Option<Duration>,
     /// Collect every output history in the report (memory-heavy; meant for
     /// tests and small programs).
@@ -48,11 +50,13 @@ pub struct ExploreConfig {
     /// verbatim (an explicit `1` still means the serial algorithm).
     pub workers_explicit: bool,
     /// Memoise consistency verdicts by history fingerprint inside the
-    /// consistency engines. Disabling this (the `no-memo` ablation) makes
-    /// every check run the decision procedure — though still over the
-    /// engine's incrementally synced index, so it isolates the memo's
-    /// contribution, not the full cost of the old stateless checkers;
-    /// results are unchanged either way.
+    /// exploration engine (`ValidWrites` and `Optimality`). Disabling this
+    /// (the `no-memo` ablation) makes every check run the decision
+    /// procedure — though still over the engine's incrementally synced
+    /// index, so it isolates the memo's contribution, not the full cost of
+    /// the old stateless checkers; results are unchanged either way. The
+    /// `explore-ce*` output filter never memoises: it checks each complete
+    /// history once, and the exploration never repeats one.
     pub memoize: bool,
 }
 
@@ -156,11 +160,13 @@ impl ExploreConfig {
         self
     }
 
-    /// The worker count the exploration will actually use, given the
-    /// detected parallelism (`None` when detection failed): derived counts
+    /// The worker count the exploration will actually use: derived counts
     /// collapse to `1` on single-core machines, explicit counts are kept.
-    pub fn effective_workers(&self, detected: Option<usize>) -> usize {
-        if self.workers > 1 && !self.workers_explicit && detected == Some(1) {
+    /// `detect` reports the machine's parallelism (`None` when detection
+    /// failed). It is called only for a derived count above one: probing
+    /// reads the process's cgroup files, which costs tens of microseconds.
+    pub fn effective_workers(&self, detect: impl FnOnce() -> Option<usize>) -> usize {
+        if self.workers > 1 && !self.workers_explicit && detect() == Some(1) {
             1
         } else {
             self.workers
@@ -177,9 +183,9 @@ impl ExploreConfig {
         self.workers.min(frontier_len)
     }
 
-    /// Disables fingerprint memoisation inside the consistency engines
+    /// Disables fingerprint memoisation inside the exploration engine
     /// (ablation isolating the memo's contribution; the incremental index
-    /// sync stays on).
+    /// sync stays on, and the output filter has no memo either way).
     pub fn without_memo(mut self) -> Self {
         self.memoize = false;
         self
@@ -372,28 +378,32 @@ mod tests {
     fn auto_workers_fall_back_to_serial_on_one_core() {
         let auto =
             ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_auto_workers(4);
-        assert_eq!(auto.effective_workers(Some(1)), 1, "derived count yields");
-        assert_eq!(auto.effective_workers(Some(8)), 4);
         assert_eq!(
-            auto.effective_workers(None),
+            auto.effective_workers(|| Some(1)),
+            1,
+            "derived count yields"
+        );
+        assert_eq!(auto.effective_workers(|| Some(8)), 4);
+        assert_eq!(
+            auto.effective_workers(|| None),
             4,
             "unknown parallelism keeps the request"
         );
         let explicit = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_workers(4);
         assert_eq!(
-            explicit.effective_workers(Some(1)),
+            explicit.effective_workers(|| Some(1)),
             4,
             "explicit count overrides"
         );
         let serial = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency);
-        assert_eq!(serial.effective_workers(Some(16)), 1);
+        assert_eq!(serial.effective_workers(|| Some(16)), 1);
     }
 
     #[test]
     fn with_workers_zero_clamps_to_serial() {
         let c = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_workers(0);
         assert_eq!(c.workers, 1, "zero workers clamps to the serial minimum");
-        assert_eq!(c.effective_workers(Some(8)), 1);
+        assert_eq!(c.effective_workers(|| Some(8)), 1);
         let auto =
             ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_auto_workers(0);
         assert_eq!(auto.workers, 1);
@@ -404,8 +414,25 @@ mod tests {
         // An explicit 1 must never enter the parallel mode, whatever the
         // detected parallelism.
         let c = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_workers(1);
-        assert_eq!(c.effective_workers(Some(64)), 1);
-        assert_eq!(c.effective_workers(None), 1);
+        assert_eq!(c.effective_workers(|| Some(64)), 1);
+        assert_eq!(c.effective_workers(|| None), 1);
+    }
+
+    #[test]
+    fn cores_are_probed_only_for_a_derived_parallel_count() {
+        let cc = || ExploreConfig::explore_ce(IsolationLevel::CausalConsistency);
+        let probes = std::cell::Cell::new(0);
+        let probe = || {
+            probes.set(probes.get() + 1);
+            Some(8)
+        };
+        assert_eq!(cc().effective_workers(probe), 1, "serial default");
+        assert_eq!(cc().with_workers(1).effective_workers(probe), 1);
+        assert_eq!(cc().with_auto_workers(1).effective_workers(probe), 1);
+        assert_eq!(cc().with_workers(4).effective_workers(probe), 4);
+        assert_eq!(probes.get(), 0, "no serial or explicit config probes");
+        assert_eq!(cc().with_auto_workers(4).effective_workers(probe), 4);
+        assert_eq!(probes.get(), 1, "a derived parallel count probes once");
     }
 
     #[test]

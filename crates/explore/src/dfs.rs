@@ -10,7 +10,7 @@
 //! distinct histories (read-from equivalence classes).
 
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use txdpor_analysis::DecomposingChecker;
 use txdpor_history::{
@@ -20,6 +20,7 @@ use txdpor_history::{
 use txdpor_program::{initial_history, oracle_next, Program, SchedulerStep, TxStep};
 
 use crate::config::ExplorationReport;
+use crate::deadline::Deadline;
 use crate::explorer::ExploreError;
 
 /// Configuration of the DFS baseline.
@@ -78,17 +79,16 @@ pub fn dfs_explore(
         vars: VarTable::new(),
         report: ExplorationReport::default(),
         seen: HashSet::new(),
-        deadline: config.timeout.map(|t| Instant::now() + t),
+        deadline: Deadline::start(config.timeout),
         checker: DecomposingChecker::new(&config.spec, true),
     };
-    let start = Instant::now();
     let mut initial = initial_history(program, &mut dfs.vars);
     dfs.explore(&mut initial)?;
     dfs.report.engine_stats = dfs.checker.stats();
     dfs.report.components = dfs.checker.components();
     dfs.report.largest_component = dfs.checker.largest_component();
     let mut report = dfs.report;
-    report.duration = start.elapsed();
+    report.duration = dfs.deadline.elapsed();
     report.vars = dfs.vars;
     report.workers = 1;
     // For the baseline, "outputs" counts distinct histories.
@@ -106,7 +106,8 @@ struct Dfs<'a> {
     /// visited set dwarfs every other allocation; 128-bit keys keep it to
     /// 16 bytes per distinct history instead of a deep-cloned fingerprint.
     seen: HashSet<(u64, u64)>,
-    deadline: Option<Instant>,
+    /// The run's clock and budget.
+    deadline: Deadline,
     /// Stateful engine deciding the semantics' isolation level, reused
     /// for every trial history of the run. Wrapped in communication-graph
     /// decomposition: under a strong spec (PC/SI/SER present) each
@@ -118,14 +119,13 @@ struct Dfs<'a> {
 }
 
 impl Dfs<'_> {
+    /// Whether the budget is spent (reading the clock once per
+    /// [`DEADLINE_STRIDE`](crate::deadline::DEADLINE_STRIDE) nodes), and
+    /// if so records the timeout.
     fn timed_out(&mut self) -> bool {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.report.timed_out = true;
-                return true;
-            }
-        }
-        false
+        let passed = self.deadline.passed();
+        self.report.timed_out |= passed;
+        passed
     }
 
     /// One node of the baseline search. The history is mutated in place:

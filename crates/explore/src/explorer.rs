@@ -40,7 +40,6 @@ use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use txdpor_analysis::{DecomposingChecker, ProgramFootprints};
 use txdpor_history::{
@@ -54,6 +53,7 @@ use txdpor_program::{
 
 use crate::assertion::{AssertionCtx, AssertionFn};
 use crate::config::{ExplorationReport, ExploreConfig};
+use crate::deadline::Deadline;
 use crate::optimality::CommitPass;
 use crate::ordered::OrderedHistory;
 use crate::steal::{Backoff, StealPool};
@@ -142,18 +142,17 @@ pub fn explore_with_assertion(
         "the exploration spec must be causally extensible; use explore_ce_star for {}",
         config.exploration
     );
-    let start = Instant::now();
     let workers =
-        config.effective_workers(std::thread::available_parallelism().ok().map(|n| n.get()));
+        config.effective_workers(|| std::thread::available_parallelism().ok().map(|n| n.get()));
     if workers > 1 {
-        return explore_parallel(program, &config, assertion, workers, start);
+        return explore_parallel(program, &config, assertion, workers);
     }
     let mut explorer = Explorer::new(program, &config, assertion);
     let root = OrderedHistory::new(initial_history(program, &mut explorer.vars));
     explorer.explore(root, None)?;
     explorer.record_engine_stats();
     let mut report = explorer.report;
-    report.duration = start.elapsed();
+    report.duration = explorer.deadline.elapsed();
     report.workers = 1;
     report.vars = explorer.vars;
     Ok(report)
@@ -170,7 +169,8 @@ pub fn explore_with_assertion(
 /// of a busy sibling's deque. Termination is detected by the pool's
 /// in-flight counter, so skewed trees keep every worker busy to the end
 /// instead of starving all but one. A [`SharedMemo`] attached to every
-/// worker's engines lets siblings reuse each other's consistency verdicts.
+/// worker's exploration engine lets siblings reuse each other's
+/// consistency verdicts.
 ///
 /// The exploration tree is identical to the serial one (children of a node
 /// depend only on that node, and every node is explored exactly once no
@@ -184,7 +184,6 @@ fn explore_parallel(
     config: &ExploreConfig,
     assertion: Option<&AssertionFn>,
     workers: usize,
-    start: Instant,
 ) -> Result<ExplorationReport, ExploreError> {
     let shared_memo = Arc::new(SharedMemo::new(workers));
     let mut seeder = Explorer::new(program, config, assertion);
@@ -197,7 +196,7 @@ fn explore_parallel(
     // seeding pass finished the exploration — skips the worker phase
     // entirely).
     let spawn = config.spawn_workers(frontier.len()).min(workers);
-    let deadline = seeder.deadline;
+    let deadline = &seeder.deadline;
     // One variable numbering for every worker: handed-out nodes and
     // `SharedMemo` keys carry variable ids across workers.
     let shared_vars = Arc::new(Mutex::new(std::mem::take(&mut seeder.vars)));
@@ -217,7 +216,7 @@ fn explore_parallel(
                 .spawn_scoped(scope, move || {
                     let mut worker = Explorer::new(program, config, assertion);
                     worker.vars = vars;
-                    worker.deadline = deadline;
+                    worker.deadline = deadline.clone();
                     worker.attach_shared_memo(&shared_memo);
                     let mut backoff = Backoff::default();
                     let mut idle = false;
@@ -302,7 +301,7 @@ fn explore_parallel(
     if config.track_duplicates {
         report.duplicate_outputs = report.outputs - seen.len() as u64;
     }
-    report.duration = start.elapsed();
+    report.duration = seeder.deadline.elapsed();
     report.workers = spawn.max(1);
     report.steals = pool.steals();
     report.vars = shared_vars
@@ -540,7 +539,8 @@ struct Explorer<'a> {
     vars: VarTable,
     report: ExplorationReport,
     seen: HashSet<HistoryFingerprint>,
-    deadline: Option<Instant>,
+    /// The run's clock and budget; parallel workers copy the seeder's.
+    deadline: Deadline,
     /// The pending transaction of the history being explored and its
     /// cursor, carried from step to step. `None` when the history has no
     /// pending transaction, or when its cursor must be rebuilt from the
@@ -559,7 +559,8 @@ struct Explorer<'a> {
     /// Engine deciding the output level (`explore-ce*` only), wrapped in
     /// communication-graph decomposition: complete histories that split
     /// are checked component by component, and the wrapper's counters
-    /// feed the report's `components` statistics.
+    /// feed the report's `components` statistics. It keeps no memo:
+    /// explore-ce reaches each complete history once.
     output_checker: Option<DecomposingChecker>,
     /// Static per-transaction-type read/write footprints of the program:
     /// the independence relation consulted before scanning reordering
@@ -575,20 +576,20 @@ impl<'a> Explorer<'a> {
         assertion: Option<&'a AssertionFn>,
     ) -> Self {
         Explorer {
+            deadline: Deadline::start(config.timeout),
             program,
             config,
             assertion,
             vars: VarTable::new(),
             report: ExplorationReport::default(),
             seen: HashSet::new(),
-            deadline: config.timeout.map(|t| Instant::now() + t),
             pending: None,
             checker: engine_for_spec_with(&config.exploration, config.memoize),
             commit_pass: CommitPass::default(),
             #[cfg(test)]
             commits: None,
             output_checker: (config.output != config.exploration)
-                .then(|| DecomposingChecker::new(&config.output, config.memoize)),
+                .then(|| DecomposingChecker::new(&config.output, false)),
             footprints: ProgramFootprints::analyze(program),
         }
     }
@@ -606,17 +607,15 @@ impl<'a> Explorer<'a> {
         TxId(h.max_tx_id() + 1)
     }
 
-    /// Routes the explorer's consistency engines (exploration and output
-    /// filter) through a cross-worker [`SharedMemo`], so verdicts decided
-    /// by one worker are table lookups for its siblings. Verdicts are pure
-    /// functions of `(history, spec)`, so the exploration tree — and every
+    /// Routes the explorer's exploration engine through a cross-worker
+    /// [`SharedMemo`], so verdicts decided by one worker are table lookups
+    /// for its siblings. Verdicts are pure functions of
+    /// `(history, spec)`, so the exploration tree — and every
     /// deterministic report quantity — is unchanged; only `memo_hits` /
-    /// `shared_memo_hits` and wall clock move.
+    /// `shared_memo_hits` and wall clock move. The output filter keeps no
+    /// memo, so it has nothing to share.
     fn attach_shared_memo(&mut self, memo: &Arc<SharedMemo>) {
         self.checker.attach_shared_memo(Arc::clone(memo));
-        if let Some(output) = self.output_checker.as_mut() {
-            output.attach_shared_memo(Arc::clone(memo));
-        }
     }
 
     /// Folds the engines' counters into the report (once, at the end of
@@ -634,14 +633,13 @@ impl<'a> Explorer<'a> {
         self.report.engine_stats.absorb(&stats);
     }
 
+    /// Whether the budget is spent (reading the clock once per
+    /// [`DEADLINE_STRIDE`](crate::deadline::DEADLINE_STRIDE) nodes), and
+    /// if so records the timeout.
     fn timed_out(&mut self) -> bool {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.report.timed_out = true;
-                return true;
-            }
-        }
-        false
+        let passed = self.deadline.passed();
+        self.report.timed_out |= passed;
+        passed
     }
 
     /// The breadth-first seeding pass of a parallel run: expands nodes
@@ -740,7 +738,7 @@ impl<'a> Explorer<'a> {
     /// node's step and returns `true`. The extension is then the node's
     /// first child, and the frame of its `Optimality`-approved
     /// re-orderings (Algorithm 2), if any, is already pushed. Once the
-    /// deadline has passed it returns `false` without counting.
+    /// budget is found spent it returns `false` without counting.
     fn expand(
         &mut self,
         h: &mut OrderedHistory,
@@ -871,9 +869,6 @@ impl<'a> Explorer<'a> {
     /// [`crate::optimality`]) and pushes the frame of the approved ones, in
     /// the order `ComputeReorderings` lists them.
     fn open_swaps(&mut self, h: &mut OrderedHistory, frames: &mut Vec<Frame>) {
-        if self.timed_out() {
-            return;
-        }
         // All re-orderings share the just-committed target: one
         // causal-ancestors BFS serves every candidate (the pass's doomed
         // suffix and the applied swaps).
@@ -957,8 +952,9 @@ impl<'a> Explorer<'a> {
         if !valid {
             if self.report.first_rejection.is_none() {
                 if let Some(checker) = self.output_checker.as_mut() {
-                    // Once per run, off the hot path: the boolean verdict
-                    // above is already memoised, so this only pays for the
+                    // Once per run, off the hot path: the engine decided
+                    // this history last and answers its boolean verdict
+                    // again without deciding, so this only pays for the
                     // on-demand evidence reconstruction.
                     if let Verdict::Inconsistent(core) = checker.check_witnessed(&h.history) {
                         self.report.first_rejection = Some(core);
@@ -1379,6 +1375,63 @@ mod tests {
         let report = explore(&p, config).unwrap();
         assert!(report.timed_out);
         assert_eq!(report.outputs, 0);
+    }
+
+    /// A budget that is never spent explores exactly what no budget does:
+    /// reading the clock once per stride only changes when a spent budget
+    /// is noticed.
+    #[test]
+    fn a_generous_timeout_gives_the_counts_of_no_timeout() {
+        use crate::dfs::{dfs_explore, DfsConfig};
+        use std::time::Duration;
+        use txdpor_apps::workload::{client_program, App, WorkloadConfig};
+
+        let p = client_program(&WorkloadConfig {
+            app: App::ShoppingCart,
+            sessions: 3,
+            transactions_per_session: 3,
+            seed: 1,
+        });
+        let budget = Duration::from_secs(3600);
+        for config in [
+            ExploreConfig::explore_ce(IsolationLevel::CausalConsistency),
+            ExploreConfig::explore_ce_star(
+                IsolationLevel::ReadAtomic,
+                IsolationLevel::Serializability,
+            ),
+        ] {
+            let free = run(&p, config.clone());
+            let budgeted = run(&p, config.with_timeout(budget));
+            assert!(!free.timed_out && !budgeted.timed_out);
+            assert!(
+                free.explore_calls > 2 * u64::from(crate::deadline::DEADLINE_STRIDE),
+                "{} calls do not span several clock strides",
+                free.explore_calls
+            );
+            assert_eq!(budgeted.explore_calls, free.explore_calls);
+            assert_eq!(budgeted.end_states, free.end_states);
+            assert_eq!(budgeted.outputs, free.outputs);
+            assert_eq!(budgeted.blocked, free.blocked);
+            assert_eq!(budgeted.statically_pruned, free.statically_pruned);
+            let (b, f) = (budgeted.engine_stats, free.engine_stats);
+            assert_eq!((b.checks, b.memo_hits), (f.checks, f.memo_hits));
+            assert_eq!(b.full_rebuilds, f.full_rebuilds);
+        }
+        // The baseline on a smaller program: it visits far more nodes.
+        let p = client_program(&WorkloadConfig {
+            app: App::Twitter,
+            sessions: 3,
+            transactions_per_session: 2,
+            seed: 1,
+        });
+        let dfs = DfsConfig::new(IsolationLevel::CausalConsistency);
+        let free = dfs_explore(&p, dfs.clone()).unwrap();
+        let budgeted = dfs_explore(&p, dfs.with_timeout(budget)).unwrap();
+        assert!(!budgeted.timed_out);
+        assert!(free.explore_calls > 2 * u64::from(crate::deadline::DEADLINE_STRIDE));
+        assert_eq!(budgeted.explore_calls, free.explore_calls);
+        assert_eq!(budgeted.end_states, free.end_states);
+        assert_eq!(budgeted.outputs, free.outputs);
     }
 
     #[test]

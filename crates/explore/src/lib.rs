@@ -46,6 +46,7 @@
 
 pub mod assertion;
 pub mod config;
+mod deadline;
 pub mod dfs;
 pub mod explorer;
 pub mod optimality;

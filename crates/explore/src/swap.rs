@@ -65,25 +65,26 @@ pub(crate) fn compute_reorderings_and_ancestors(
     if !last_event.kind.is_commit() {
         return None;
     }
+    // The commit's owner: a logged transaction, never init.
     let target = h
         .history
         .tx_of_event(last)
         .expect("last event belongs to a transaction");
+    let target_log = h.history.tx(target);
     // One backward BFS answers every `(tr(r), target) ∈ (so ∪ wr)*` query
     // below in O(1).
     let ancestors = h.history.causal_ancestors(target);
-    let target_log = (!target.is_init()).then(|| h.history.tx(target));
     let mut out = Vec::new();
     for log in h.history.transactions() {
         if log.id == target {
             continue;
         }
-        if let (Some(fps), Some(target_log)) = (footprints, target_log) {
+        if let Some(fps) = footprints {
             if fps.independent_logs(target_log, log) {
                 debug_assert!(
-                    log.external_reads().iter().all(|r| {
+                    log.external_reads().all(|r| {
                         let x = r.var().expect("read has a variable");
-                        !h.history.writes_var(target, x)
+                        !target_log.writes_var(x)
                     }),
                     "statically independent candidate has a read the target writes"
                 );
@@ -91,17 +92,19 @@ pub(crate) fn compute_reorderings_and_ancestors(
                 continue;
             }
         }
+        if ancestors.contains(log.id) {
+            continue;
+        }
+        // tr(r) must precede t in the history order: asked once per log,
+        // at its first read that the target writes.
+        let mut precedes = None;
         for read in log.external_reads() {
             let x = read.var().expect("read has a variable");
-            if !h.history.writes_var(target, x) || target.is_init() {
+            if !target_log.writes_var(x) {
                 continue;
             }
-            if ancestors.contains(log.id) {
-                continue;
-            }
-            if !h.tx_before_event(log.id, last) {
-                // tr(r) must precede t in the history order.
-                continue;
+            if !*precedes.get_or_insert_with(|| h.tx_before_event(log.id, last)) {
+                break;
             }
             out.push(Reordering {
                 read: read.id,
@@ -281,7 +284,10 @@ pub(crate) fn assert_apply_swap_equals_swap(h: &OrderedHistory, read: EventId, t
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txdpor_history::{Event, EventKind, History, SessionId, Value, Var};
+    use txdpor_apps::workload::{client_program, App, WorkloadConfig};
+    use txdpor_history::testkit::XorShift;
+    use txdpor_history::{Event, EventKind, History, SessionId, Value, Var, VarTable};
+    use txdpor_program::{initial_history, oracle_next, Program, SchedulerStep, TxStep};
 
     /// Builds the situation of Fig. 10b: session 0 has a committed reader of
     /// x and y (reading both from init), session 1 just committed a writer
@@ -449,5 +455,163 @@ mod tests {
     fn last_committed_transaction_helper() {
         let h = fig10_history();
         assert_eq!(last_committed_transaction(&h), Some(TxId(2)));
+    }
+
+    /// `compute_reorderings_and_ancestors` as it was before it walked the
+    /// external reads in place: a vector of external reads per log, and
+    /// every test asked per read.
+    fn allocating_reorderings(
+        h: &OrderedHistory,
+        footprints: Option<&ProgramFootprints>,
+        pruned: &mut u64,
+    ) -> Option<Vec<Reordering>> {
+        fn external_reads(log: &txdpor_history::TransactionLog) -> Vec<&Event> {
+            let mut written: Vec<Var> = Vec::new();
+            let mut out = Vec::new();
+            for e in &log.events {
+                match &e.kind {
+                    EventKind::Read(x) if !written.contains(x) => out.push(e),
+                    EventKind::Write(x, _) if !written.contains(x) => written.push(*x),
+                    _ => {}
+                }
+            }
+            out
+        }
+        let last = h.last()?;
+        if !h.history.event(last)?.kind.is_commit() {
+            return None;
+        }
+        let target = h.history.tx_of_event(last).unwrap();
+        let ancestors = h.history.causal_ancestors(target);
+        let target_log = (!target.is_init()).then(|| h.history.tx(target));
+        let mut out = Vec::new();
+        for log in h.history.transactions() {
+            if log.id == target {
+                continue;
+            }
+            if let (Some(fps), Some(target_log)) = (footprints, target_log) {
+                if fps.independent_logs(target_log, log) {
+                    *pruned += 1;
+                    continue;
+                }
+            }
+            for read in external_reads(log) {
+                let x = read.var().unwrap();
+                if !h.history.writes_var(target, x) || target.is_init() {
+                    continue;
+                }
+                if ancestors.contains(log.id) {
+                    continue;
+                }
+                if !h.tx_before_event(log.id, last) {
+                    continue;
+                }
+                out.push(Reordering {
+                    read: read.id,
+                    target,
+                });
+            }
+        }
+        Some(out)
+    }
+
+    /// Runs `program` to completion along a random schedule: each new
+    /// transaction comes from a random session, and each external read
+    /// reads from a random committed writer. Calls `at_commit` after every
+    /// commit.
+    fn random_run(program: &Program, seed: u64, mut at_commit: impl FnMut(&OrderedHistory)) {
+        let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut vars = VarTable::new();
+        let mut h = OrderedHistory::new(initial_history(program, &mut vars));
+        loop {
+            let id = EventId(h.history.max_event_id() + 1);
+            match oracle_next(program, &h.history, &mut vars).unwrap() {
+                SchedulerStep::Finished => return,
+                SchedulerStep::Begin { .. } => {
+                    let open: Vec<SessionId> = (0..program.sessions.len() as u32)
+                        .map(SessionId)
+                        .filter(|s| {
+                            h.history.session_txs(*s).len()
+                                < program.sessions[s.0 as usize].transactions.len()
+                        })
+                        .collect();
+                    let session = open[rng.below(open.len() as u64) as usize];
+                    let index = h.history.session_txs(session).len();
+                    let tx = TxId(h.history.max_tx_id() + 1);
+                    let begin = Event::new(id, EventKind::Begin);
+                    h.history.begin_transaction(session, tx, index, begin);
+                    h.push(id);
+                }
+                SchedulerStep::Continue { session, step } => {
+                    let (kind, external_read) = match step {
+                        TxStep::Read {
+                            var,
+                            internal_value,
+                        } => (
+                            EventKind::Read(var),
+                            internal_value.is_none().then_some(var),
+                        ),
+                        TxStep::Write { var, value } => (EventKind::Write(var, value), None),
+                        TxStep::Commit => (EventKind::Commit, None),
+                        TxStep::Abort => (EventKind::Abort, None),
+                    };
+                    let commit = kind.is_commit();
+                    h.history.append_event(session, Event::new(id, kind));
+                    h.push(id);
+                    if let Some(x) = external_read {
+                        let writers = h.history.committed_writers_of(x);
+                        let writer = writers[rng.below(writers.len() as u64) as usize];
+                        h.history.set_wr(id, writer);
+                    }
+                    if commit {
+                        at_commit(&h);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The in-place walk finds exactly the re-orderings of the allocating
+    /// reference, in the same order, and prunes exactly as many
+    /// candidates, with and without static footprints, at every commit of
+    /// random runs of the five benchmark applications.
+    #[test]
+    fn reorderings_match_the_allocating_reference_on_random_histories() {
+        let (mut commits, mut found, mut pruned) = (0, 0, 0);
+        for app in [
+            App::Courseware,
+            App::ShoppingCart,
+            App::Twitter,
+            App::Wikipedia,
+            App::Tpcc,
+        ] {
+            for seed in 1..=4 {
+                let program = client_program(&WorkloadConfig {
+                    app,
+                    sessions: 3,
+                    transactions_per_session: 3,
+                    seed,
+                });
+                let footprints = ProgramFootprints::analyze(&program);
+                for run in 0..4 {
+                    random_run(&program, seed * 8 + run, |h| {
+                        commits += 1;
+                        for fps in [None, Some(&footprints)] {
+                            let (mut got_pruned, mut want_pruned) = (0, 0);
+                            let got = compute_reorderings_and_ancestors(h, fps, &mut got_pruned)
+                                .map(|(_, r)| r);
+                            let want = allocating_reorderings(h, fps, &mut want_pruned);
+                            assert_eq!(got, want, "{app:?} seed {seed}:\n{}", h.history);
+                            assert_eq!(got_pruned, want_pruned);
+                            found += got.map_or(0, |r| r.len());
+                            pruned += got_pruned;
+                        }
+                    });
+                }
+            }
+        }
+        assert!(commits > 500, "only {commits} commits");
+        assert!(found > 100, "only {found} re-orderings");
+        assert!(pruned > 100, "only {pruned} statically pruned candidates");
     }
 }

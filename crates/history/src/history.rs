@@ -42,7 +42,13 @@
 //! and emits each entry's [`HistoryDelta::inverse`], newest first.
 //! A rolling structural hash ([`History::live_hash`]) is maintained
 //! incrementally across all mutations so that memoised consistency engines
-//! obtain their key in O(1) instead of re-walking the history.
+//! obtain their key in O(1) instead of re-walking the history. It is the
+//! XOR of one 128-bit contribution per live event and per wr edge. A
+//! contribution is mixed when `Begin`, `Append` or `SetWr` adds it (a
+//! rollback's re-`Begin` and re-`SetWr` mix it again) and stored by event
+//! id: `Pop`, `UndoBegin` and `UnsetWr` XOR the stored value out, and a
+//! popped event keeps its contribution on the side stack for rollback to
+//! XOR back in.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -92,6 +98,23 @@ struct JournalEntry {
     delta: HistoryDelta,
     max_event_id: u32,
     max_tx_id: u32,
+}
+
+/// The rolling-hash contributions stored for one event id: the event's
+/// own, and its wr edge's while the event is a read with a dependency.
+/// An entry outlives its event or edge; it is only read while they live.
+#[derive(Copy, Clone, Debug, Default)]
+struct Contribs {
+    event: (u64, u64),
+    wr: (u64, u64),
+}
+
+/// An event with its rolling-hash contribution: what an `Append` adds,
+/// and what a journaled `Pop` keeps for rollback to re-append.
+#[derive(Clone, Debug)]
+struct HashedEvent {
+    event: Event,
+    hash: (u64, u64),
 }
 
 // ----------------------------------------------------------------------
@@ -254,10 +277,13 @@ pub struct History {
     max_event_id: u32,
     /// Rolling structural hash, updated on every mutation.
     hash: (u64, u64),
+    /// `EventId.0 ↦` the contributions of the live event and of its wr
+    /// edge to `hash`.
+    contribs: Vec<Contribs>,
     /// Undo journal; only recording while a checkpoint is outstanding.
     journal: Vec<JournalEntry>,
     /// The events removed by the journal's `Pop` entries, oldest first.
-    popped: Vec<Event>,
+    popped: Vec<HashedEvent>,
     /// Number of outstanding checkpoints.
     journal_depth: u32,
     /// Identity of this history instance (fresh per `new`/`clone`), used by
@@ -387,6 +413,7 @@ impl History {
             max_tx_id: 0,
             max_event_id: 0,
             hash: HASH_SEED,
+            contribs: Vec::new(),
             journal: Vec::new(),
             popped: Vec::new(),
             journal_depth: 0,
@@ -767,7 +794,11 @@ impl History {
             info: DeltaEventInfo::of(&event.kind).expect("a transaction has one begin event"),
             po: log.events.len() as u32,
         };
-        self.mutate(HistoryDelta::Append(delta), Some(event));
+        let hash = contrib(event_payload(self.pos_key(tx, delta.po), &event.kind));
+        self.mutate(
+            HistoryDelta::Append(delta),
+            Some(HashedEvent { event, hash }),
+        );
         tx
     }
 
@@ -884,7 +915,7 @@ impl History {
     /// mutators compile to their own arm instead of dispatching through the
     /// shared match.
     #[inline(always)]
-    fn mutate(&mut self, delta: HistoryDelta, event: Option<Event>) {
+    fn mutate(&mut self, delta: HistoryDelta, event: Option<HashedEvent>) {
         let entry = JournalEntry {
             delta,
             max_event_id: self.max_event_id,
@@ -900,11 +931,18 @@ impl History {
 
     /// The one implementation of each of the six mutations, shared by the
     /// public mutators and [`rollback`](History::rollback). An `Append`
-    /// pushes `event`, which its delta summarises; a `Pop` returns the
-    /// event it removed. Callers have checked the preconditions, and they
-    /// journal and emit the delta.
+    /// pushes `event`, which its delta summarises, and adds its
+    /// contribution; a `Pop` returns the event it removed with the
+    /// contribution it took out. Callers have checked the preconditions,
+    /// and they journal and emit the delta.
+    ///
+    /// Contributions are mixed where an event or edge is added: by
+    /// `Begin`, by `SetWr`, and by [`append_event`](History::append_event)
+    /// before its `Append`. Every removal, and a rollback's re-append,
+    /// XORs the stored one, which debug builds check against a
+    /// recomputation.
     #[inline(always)]
-    fn apply(&mut self, delta: HistoryDelta, event: Option<Event>) -> Option<Event> {
+    fn apply(&mut self, delta: HistoryDelta, event: Option<HashedEvent>) -> Option<HashedEvent> {
         match delta {
             HistoryDelta::Begin(t) => {
                 let begin = Event::new(t.begin, EventKind::Begin);
@@ -917,23 +955,36 @@ impl History {
                 let sidx = txs.len() as u32;
                 let log = self.detach_log(t.tx);
                 debug_assert_eq!(log.events.len(), 1, "begin undone with live events");
-                let c = contrib(event_payload(
-                    pos_key(t.session.0, sidx, 0),
-                    &EventKind::Begin,
-                ));
+                let c = self.contribs[t.begin.0 as usize].event;
+                debug_assert_eq!(
+                    c,
+                    contrib(event_payload(
+                        pos_key(t.session.0, sidx, 0),
+                        &EventKind::Begin
+                    )),
+                    "stale contribution of begin {}",
+                    t.begin
+                );
                 xor_into(&mut self.hash, c);
                 self.owner.clear(t.begin.0);
                 self.pending -= 1;
             }
             HistoryDelta::Append(e) => {
-                let event = event.expect("an append carries its event");
-                let (slot, key) = self.slot_and_key(e.tx, e.po);
-                xor_into(&mut self.hash, contrib(event_payload(key, &event.kind)));
+                let HashedEvent { event, hash } = event.expect("an append carries its event");
+                debug_assert_eq!(
+                    hash,
+                    contrib(event_payload(self.pos_key(e.tx, e.po), &event.kind)),
+                    "stale contribution of appended {}",
+                    e.event
+                );
+                xor_into(&mut self.hash, hash);
+                self.contribs_at(e.event).event = hash;
                 if matches!(e.info, DeltaEventInfo::Commit | DeltaEventInfo::Abort) {
                     self.pending -= 1;
                 }
                 self.owner.set(e.event.0, e.tx.0);
                 self.max_event_id = self.max_event_id.max(e.event.0);
+                let slot = self.slot(e.tx);
                 self.logs[slot].events.push(event);
             }
             HistoryDelta::Pop(e) => {
@@ -942,23 +993,37 @@ impl History {
                     "popped read {} still has a wr dependency",
                     e.event
                 );
-                let (slot, key) = self.slot_and_key(e.tx, e.po);
+                let slot = self.slot(e.tx);
                 let event = self.logs[slot].events.pop().expect("event to pop");
-                xor_into(&mut self.hash, contrib(event_payload(key, &event.kind)));
+                let hash = self.contribs[e.event.0 as usize].event;
+                debug_assert_eq!(
+                    hash,
+                    contrib(event_payload(self.pos_key(e.tx, e.po), &event.kind)),
+                    "stale contribution of popped {}",
+                    e.event
+                );
+                xor_into(&mut self.hash, hash);
                 if matches!(e.info, DeltaEventInfo::Commit | DeltaEventInfo::Abort) {
                     self.pending += 1;
                 }
                 self.owner.clear(e.event.0);
-                return Some(event);
+                return Some(HashedEvent { event, hash });
             }
             HistoryDelta::SetWr(w) => {
                 self.wr.set(w.read.0, w.writer.0);
                 let c = self.wr_contrib(&w);
+                self.contribs[w.read.0 as usize].wr = c;
                 xor_into(&mut self.hash, c);
             }
             HistoryDelta::UnsetWr(w) => {
                 self.wr.clear(w.read.0);
-                let c = self.wr_contrib(&w);
+                let c = self.contribs[w.read.0 as usize].wr;
+                debug_assert_eq!(
+                    c,
+                    self.wr_contrib(&w),
+                    "stale contribution of the wr edge of {}",
+                    w.read
+                );
                 xor_into(&mut self.hash, c);
             }
         }
@@ -977,6 +1042,7 @@ impl History {
         let sidx = self.sessions[s.0 as usize].len() as u32;
         let c = contrib(event_payload(pos_key(s.0, sidx, 0), &first.kind));
         xor_into(&mut self.hash, c);
+        self.contribs_at(first.id).event = c;
         self.owner.set(first.id.0, id.0);
         self.max_event_id = self.max_event_id.max(first.id.0);
         self.max_tx_id = self.max_tx_id.max(id.0);
@@ -1006,20 +1072,37 @@ impl History {
         log
     }
 
-    /// Arena slot of a live transaction and the hash position key of its
-    /// program-order position `po`.
+    /// Arena slot of a live transaction.
     #[inline]
-    fn slot_and_key(&self, tx: TxId, po: u32) -> (usize, u64) {
-        let slot = self.tx_slot.get(tx.0).expect("live transaction") as usize;
+    fn slot(&self, tx: TxId) -> usize {
+        self.tx_slot.get(tx.0).expect("live transaction") as usize
+    }
+
+    /// Hash position key of program-order position `po` of a live
+    /// transaction.
+    #[inline]
+    fn pos_key(&self, tx: TxId, po: u32) -> u64 {
         let sidx = self.tx_sidx.get(tx.0).expect("tx session index");
-        (slot, pos_key(self.logs[slot].session.0, sidx, po))
+        pos_key(self.logs[self.slot(tx)].session.0, sidx, po)
+    }
+
+    /// The stored contributions of event id `e`, growing the table to it.
+    #[inline]
+    fn contribs_at(&mut self, e: EventId) -> &mut Contribs {
+        let i = e.0 as usize;
+        if i >= self.contribs.len() {
+            self.contribs.resize(i + 1, Contribs::default());
+        }
+        &mut self.contribs[i]
     }
 
     /// Rolling-hash contribution of a wr dependency.
     #[inline]
     fn wr_contrib(&self, w: &WrDelta) -> (u64, u64) {
-        let (_, key) = self.slot_and_key(w.reader, w.po);
-        contrib(wr_payload(key, self.tx_coord(w.writer)))
+        contrib(wr_payload(
+            self.pos_key(w.reader, w.po),
+            self.tx_coord(w.writer),
+        ))
     }
 
     /// Canonical `(session, index)` coordinate of a transaction for hash
@@ -1527,23 +1610,29 @@ impl History {
         self.hash
     }
 
-    /// Recomputes the rolling hash from scratch (used after bulk rewrites
-    /// such as [`map_vars`](History::map_vars), and by debug assertions).
+    /// Recomputes the rolling hash and its stored contributions from
+    /// scratch (used after bulk rewrites such as
+    /// [`map_vars`](History::map_vars), and by tests).
     fn recompute_live_hash(&mut self) {
         let mut hash = HASH_SEED;
+        let mut contribs = vec![Contribs::default(); self.contribs.len()];
         for (s, txs) in self.sessions() {
             for (sidx, t) in txs.iter().enumerate() {
                 let log = self.tx(*t);
                 for (po, e) in log.events.iter().enumerate() {
                     let key = pos_key(s.0, sidx as u32, po as u32);
-                    xor_into(&mut hash, contrib(event_payload(key, &e.kind)));
+                    let c = &mut contribs[e.id.0 as usize];
+                    c.event = contrib(event_payload(key, &e.kind));
+                    xor_into(&mut hash, c.event);
                     if let Some(w) = self.wr_of(e.id) {
-                        xor_into(&mut hash, contrib(wr_payload(key, self.tx_coord(w))));
+                        c.wr = contrib(wr_payload(key, self.tx_coord(w)));
+                        xor_into(&mut hash, c.wr);
                     }
                 }
             }
         }
         self.hash = hash;
+        self.contribs = contribs;
     }
 
     // ------------------------------------------------------------------
@@ -1597,6 +1686,7 @@ impl Clone for History {
             max_tx_id: self.max_tx_id,
             max_event_id: self.max_event_id,
             hash: self.hash,
+            contribs: self.contribs.clone(),
             journal: Vec::new(),
             popped: Vec::new(),
             journal_depth: 0,
@@ -1609,7 +1699,10 @@ impl Clone for History {
 
 impl History {
     /// Approximate heap footprint of the history in bytes (used by the
-    /// benchmark clone counters).
+    /// benchmark clone counters): the arena and its relations. The stored
+    /// rolling-hash contributions (32 bytes per event id) are copied by a
+    /// clone too but not counted, so the figure stays comparable with
+    /// the versions before them.
     pub fn heap_bytes_estimate(&self) -> usize {
         let mut bytes = self.init_values.len() * std::mem::size_of::<(Var, Value)>()
             + self.logs.len() * std::mem::size_of::<TransactionLog>()
@@ -2312,6 +2405,195 @@ mod tests {
         let incremental = h.live_hash();
         h.recompute_live_hash();
         assert_eq!(h.live_hash(), incremental);
+    }
+
+    /// Asserts that the rolling hash and the stored contributions of every
+    /// live event and wr edge equal a from-scratch recomputation.
+    fn assert_hash_exact(h: &History, step: &str) {
+        let mut fresh = h.clone();
+        fresh.recompute_live_hash();
+        assert_eq!(
+            h.live_hash(),
+            fresh.live_hash(),
+            "{step}: live hash drifted"
+        );
+        for (_, e) in h.events() {
+            let (got, want) = (h.contribs[e.id.0 as usize], fresh.contribs[e.id.0 as usize]);
+            assert_eq!(
+                got.event, want.event,
+                "{step}: stored contribution of {}",
+                e.id
+            );
+            if h.wr_of(e.id).is_some() {
+                assert_eq!(
+                    got.wr, want.wr,
+                    "{step}: stored wr contribution of {}",
+                    e.id
+                );
+            }
+        }
+    }
+
+    /// How often each interesting mutation came up in a random run.
+    #[derive(Default)]
+    struct Coverage {
+        re_set: u32,
+        retract_not_last: u32,
+        reused_ids: u32,
+        rollbacks: u32,
+        re_appends: u32,
+        clones_at: u32,
+    }
+
+    /// One random run of begin/append/pop/set/unset/retract mutations
+    /// under nested checkpoints, rollbacks and `clone_at`, checking the
+    /// rolling hash against a recomputation after every step.
+    fn random_mutations(seed: u64, coverage: &mut Coverage) {
+        let mut rng = crate::testkit::XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut h = History::new([(Var(1), Value::Int(7))]);
+        let sessions = 3u32;
+        let mut marks: Vec<(HistoryMark, History)> = Vec::new();
+        // The id of the event popped last, which an append may reuse
+        // (ids only need to be unique among live events).
+        let mut popped_id: Option<EventId> = None;
+        for step in 0..80 {
+            let s = SessionId(rng.below(u64::from(sessions)) as u32);
+            let last = h.last_tx_of_session(s);
+            let what = match rng.below(10) {
+                // Begin a transaction where the session's last is complete.
+                0 if last.is_none_or(|t| h.tx(t).is_complete()) => {
+                    let tx = TxId(h.max_tx_id() + 1);
+                    let begin = ev(h.max_event_id() + 1, EventKind::Begin);
+                    h.begin_transaction(s, tx, h.session_txs(s).len(), begin);
+                    "begin"
+                }
+                // Append to a pending transaction, reusing a popped id.
+                1..=3 if last.is_some_and(|t| h.tx(t).is_pending()) => {
+                    let x = Var(rng.below(3) as u32);
+                    let kind = match rng.below(6) {
+                        0 | 1 => EventKind::Read(x),
+                        2 | 3 => EventKind::Write(x, Value::Int(rng.below(4) as i64)),
+                        4 => EventKind::Commit,
+                        _ => EventKind::Abort,
+                    };
+                    let id = match popped_id.take() {
+                        Some(id) if h.event(id).is_none() && rng.below(2) == 0 => {
+                            coverage.reused_ids += 1;
+                            id
+                        }
+                        _ => EventId(h.max_event_id() + 1),
+                    };
+                    let is_read = kind.is_read();
+                    h.append_event(s, Event::new(id, kind));
+                    if is_read {
+                        let writers = h.writers_of(x);
+                        h.set_wr(id, writers[rng.below(writers.len() as u64) as usize]);
+                    }
+                    "append"
+                }
+                // Pop the last event of a transaction no read reads from.
+                4 if last
+                    .is_some_and(|t| h.tx(t).events.len() > 1 && h.wr().all(|(_, w)| w != t)) =>
+                {
+                    let t = last.expect("guarded");
+                    let e = h.tx(t).events.last().expect("guarded").id;
+                    h.unset_wr(e);
+                    h.pop_event(s);
+                    popped_id = Some(e);
+                    "pop"
+                }
+                // Retract a begin-only transaction, often not the newest.
+                5 if last.is_some_and(|t| h.tx(t).events.len() == 1) => {
+                    let t = last.expect("guarded");
+                    if h.tx_ids().any(|u| u > t) {
+                        coverage.retract_not_last += 1;
+                    }
+                    h.retract_begin(s);
+                    "retract"
+                }
+                // Set (or re-set) a read's writer, or unset it.
+                6 => {
+                    let reads: Vec<(EventId, Var)> = h
+                        .events()
+                        .filter(|(_, e)| e.kind.is_read())
+                        .map(|(_, e)| (e.id, e.var().expect("read")))
+                        .collect();
+                    if reads.is_empty() {
+                        continue;
+                    }
+                    let (r, x) = reads[rng.below(reads.len() as u64) as usize];
+                    if rng.below(3) == 0 {
+                        h.unset_wr(r);
+                        "unset"
+                    } else {
+                        if h.wr_of(r).is_some() {
+                            coverage.re_set += 1;
+                        }
+                        let writers = h.writers_of(x);
+                        h.set_wr(r, writers[rng.below(writers.len() as u64) as usize]);
+                        "set"
+                    }
+                }
+                7 if marks.len() < 4 => {
+                    let snapshot = h.clone();
+                    marks.push((h.checkpoint(), snapshot));
+                    "checkpoint"
+                }
+                8 if !marks.is_empty() => {
+                    let (mark, snapshot) = marks.pop().expect("guarded");
+                    let pops = h.journal[mark.journal_len..]
+                        .iter()
+                        .filter(|e| matches!(e.delta, HistoryDelta::Pop(_)))
+                        .count();
+                    coverage.re_appends += pops as u32;
+                    coverage.rollbacks += 1;
+                    h.rollback(mark);
+                    assert_eq!(h, snapshot, "seed {seed} step {step}: rollback");
+                    assert_eq!(h.live_hash(), snapshot.live_hash());
+                    popped_id = None;
+                    "rollback"
+                }
+                9 if !marks.is_empty() => {
+                    let (mark, snapshot) = &marks[rng.below(marks.len() as u64) as usize];
+                    let copy = h.clone_at(*mark);
+                    assert_eq!(&copy, snapshot, "seed {seed} step {step}: clone_at");
+                    assert_hash_exact(&copy, &format!("seed {seed} step {step}: clone_at"));
+                    coverage.clones_at += 1;
+                    "clone_at"
+                }
+                _ => continue,
+            };
+            assert_hash_exact(&h, &format!("seed {seed} step {step}: {what}"));
+        }
+        while let Some((mark, snapshot)) = marks.pop() {
+            h.rollback(mark);
+            assert_eq!(h, snapshot, "seed {seed}: final rollback");
+            assert_hash_exact(&h, &format!("seed {seed}: final rollback"));
+        }
+    }
+
+    /// Property: across random mutation sequences, `live_hash` and the
+    /// stored contributions always equal a from-scratch recomputation —
+    /// after re-setting reads with other writers, retracting transactions
+    /// that are not the newest, appending under reused ids, rolling back
+    /// (re-appending popped events) and copying at open marks.
+    #[test]
+    fn live_hash_equals_recomputation_under_random_mutations() {
+        let mut coverage = Coverage::default();
+        for seed in 0..200 {
+            random_mutations(seed, &mut coverage);
+        }
+        assert!(coverage.re_set > 0, "no read was re-set");
+        assert!(
+            coverage.retract_not_last > 0,
+            "no older transaction was retracted"
+        );
+        assert!(coverage.reused_ids > 0, "no popped id was reused");
+        assert!(
+            coverage.rollbacks > 0 && coverage.re_appends > 0,
+            "no re-append"
+        );
+        assert!(coverage.clones_at > 0, "no clone_at");
     }
 
     #[test]

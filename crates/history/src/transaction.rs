@@ -129,19 +129,23 @@ impl TransactionLog {
         !self.is_pending()
     }
 
-    /// The *external* reads of the transaction: `read(x)` events that are
-    /// not preceded by a write to `x` in program order (`reads(t)` in §2.2.1).
-    pub fn external_reads(&self) -> Vec<&Event> {
-        let mut written: Vec<Var> = Vec::new();
-        let mut out = Vec::new();
-        for e in &self.events {
-            match &e.kind {
-                EventKind::Read(x) if !written.contains(x) => out.push(e),
-                EventKind::Write(x, _) if !written.contains(x) => written.push(*x),
-                _ => {}
-            }
-        }
-        out
+    /// The *external* reads of the transaction, in program order: `read(x)`
+    /// events that are not preceded by a write to `x` in program order
+    /// (`reads(t)` in §2.2.1). Walks the log without allocating.
+    pub fn external_reads(&self) -> impl Iterator<Item = &Event> + '_ {
+        self.events
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, e)| match &e.kind {
+                EventKind::Read(x)
+                    if !self.events[..i]
+                        .iter()
+                        .any(|w| matches!(&w.kind, EventKind::Write(y, _) if y == x)) =>
+                {
+                    Some(e)
+                }
+                _ => None,
+            })
     }
 
     /// Whether the given read event of this transaction is *internal*, i.e.
@@ -279,7 +283,7 @@ mod tests {
     #[test]
     fn external_reads_ignore_internal() {
         let t = sample_log();
-        let ext: Vec<EventId> = t.external_reads().iter().map(|e| e.id).collect();
+        let ext: Vec<EventId> = t.external_reads().map(|e| e.id).collect();
         // The read at e3 follows a write to x0 in po and is internal.
         assert_eq!(ext, vec![EventId(1)]);
         assert!(t.is_internal_read(EventId(3)));
