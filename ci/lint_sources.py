@@ -34,6 +34,14 @@ Rules (each violation prints one `path:line: message` and fails the run):
    read costs tens of nanoseconds, a few percent of an explorer node or
    an incremental check, so the per-node and per-check paths must go
    through these two, which read the clock once per stride.
+6. In non-test code of `crates/explore/src`, the tokens
+   `DecomposingChecker`, `decompose` and `component_history` do not
+   appear (as whole words): the `explore-ce*` output filter and the DFS
+   baseline hand whole histories to plain engines. Their commit-order
+   search is bounded by the session frontiers and no explored history
+   has split, so a communication-graph split would only add a pass;
+   decomposition serves the witnessed checks of recorded store runs
+   (`crates/analysis`).
 
 Test code is a file's test module: everything from the `#[cfg(test)]`
 attribute that opens a `mod` to the end of the file. Every file in these
@@ -56,6 +64,7 @@ UNWRAP = re.compile(r"\.unwrap\(")
 PANIC = re.compile(r"(?<![a-zA-Z_!])panic!\s*\(")
 WALL_CLOCK = re.compile(r"Instant::now|SystemTime")
 CLOCK_READ = re.compile(r"Instant::now")
+DECOMPOSITION = re.compile(r"\b(DecomposingChecker|decompose|component_history)\b")
 TEST_MODULE = re.compile(r"^\s*(pub(\([^)]*\))?\s+)?mod\s+\w+\s*\{")
 
 # Rule 5: the one item of each file that may read the clock.
@@ -192,6 +201,15 @@ def main() -> int:
     for root in [explore_src, REPO / "crates" / "history" / "src" / "check"]:
         for f in rust_sources(root):
             violations += lint_clock_reads(f)
+
+    for f in rust_sources(explore_src):
+        violations += lint_file(
+            f,
+            DECOMPOSITION,
+            "communication-graph decomposition on the exploration path — "
+            "hand the engines whole histories",
+            non_test_only=True,
+        )
 
     violations += lint_file(
         store_src / "simulation.rs",

@@ -39,22 +39,18 @@ use crate::decompose::{component_history, decompose, Decomposition};
 ///
 /// # Cost model
 ///
-/// Decomposition is pure pre-processing: a boolean [`check`] only splits
-/// when the spec has a strong member (PC/SI/SER), where the commit-order
-/// search dominates. That search visits at most one state per session
-/// frontier, `∏ 2 · (length + 1)` over the sessions: polynomial for a
-/// fixed number of sessions, but still exponential in their number.
-/// Components split the sessions, so their state spaces add up instead
-/// of multiplying. That is what splitting still buys, on histories with
-/// many sessions in independent components, at the price of copying each
-/// component out and rebuilding its indexes. Whether it pays on recorded
-/// histories is open (ROADMAP.md, "Take communication-graph decomposition
-/// out of the checking path"). Polynomial weak checks go straight to the
-/// wrapped engine, whose incremental indexes are faster than any rebuild.
-/// [`check_witnessed`] (once per complete history / recorded execution)
-/// always decomposes. Single-component histories short-circuit to the
-/// wrapped engine on the *original* object, preserving its memo and
-/// incremental state.
+/// Splitting serves [`check_witnessed`], once per recorded execution: the
+/// `simulate` binary checks each store run that way. The commit-order
+/// search of a strong spec visits at most one state per session frontier,
+/// `∏ 2 · (length + 1)` over the sessions: polynomial for a fixed number
+/// of sessions, but still exponential in their number. Components split
+/// the sessions, so their state spaces add up instead of multiplying, at
+/// the price of copying each component out and rebuilding its indexes.
+/// Whether that pays on recorded histories is open (ROADMAP.md, "Take
+/// communication-graph decomposition out of the checking path").
+/// Single-component histories short-circuit to the wrapped engine on the
+/// *original* object. A boolean [`check`] never splits: it goes straight
+/// to the whole-history engine.
 ///
 /// [`check`]: ConsistencyChecker::check
 /// [`check_witnessed`]: ConsistencyChecker::check_witnessed
@@ -67,11 +63,8 @@ pub struct DecomposingChecker {
     /// full-rebuilds per component but memoises canonical component
     /// shapes across calls (components are var-renumbered canonically).
     scratch: Box<dyn ConsistencyChecker>,
-    /// Whether boolean checks attempt to split (see the cost model above).
-    split_boolean_checks: bool,
     components: u64,
     largest_component: u64,
-    decomposed_checks: u64,
 }
 
 impl DecomposingChecker {
@@ -82,15 +75,13 @@ impl DecomposingChecker {
             spec: spec.clone(),
             inner: engine_for_spec_with(spec, memoize),
             scratch: engine_for_spec_with(spec, memoize),
-            split_boolean_checks: spec.has_strong(),
             components: 0,
             largest_component: 0,
-            decomposed_checks: 0,
         }
     }
 
     /// Maximum number of communication-graph components seen over all
-    /// decomposed histories (0 if nothing was decomposed yet).
+    /// witnessed checks (0 if nothing was decomposed yet).
     pub fn components(&self) -> u64 {
         self.components
     }
@@ -99,16 +90,6 @@ impl DecomposingChecker {
     /// decomposed yet).
     pub fn largest_component(&self) -> u64 {
         self.largest_component
-    }
-
-    /// Checks that actually split into ≥ 2 independently-checked parts.
-    pub fn decomposed_checks(&self) -> u64 {
-        self.decomposed_checks
-    }
-
-    fn note(&mut self, d: &Decomposition) {
-        self.components = self.components.max(d.len() as u64);
-        self.largest_component = self.largest_component.max(d.largest() as u64);
     }
 
     /// Merges per-component witness commit orders into one whole-history
@@ -147,7 +128,6 @@ impl DecomposingChecker {
 
     /// Checks every component independently, recombining the evidence.
     fn check_witnessed_decomposed(&mut self, h: &History, d: &Decomposition) -> Verdict {
-        self.decomposed_checks += 1;
         let mut witnesses = Vec::with_capacity(d.len());
         for c in &d.components {
             let sub = component_history(h, c);
@@ -183,10 +163,8 @@ impl std::fmt::Debug for DecomposingChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DecomposingChecker")
             .field("spec", &self.spec)
-            .field("split_boolean_checks", &self.split_boolean_checks)
             .field("components", &self.components)
             .field("largest_component", &self.largest_component)
-            .field("decomposed_checks", &self.decomposed_checks)
             .finish_non_exhaustive()
     }
 }
@@ -201,19 +179,7 @@ impl ConsistencyChecker for DecomposingChecker {
     }
 
     fn check(&mut self, h: &History) -> bool {
-        if !self.split_boolean_checks || h.num_transactions() < 2 {
-            return self.inner.check(h);
-        }
-        let d = decompose(h);
-        self.note(&d);
-        if d.len() <= 1 {
-            return self.inner.check(h);
-        }
-        self.decomposed_checks += 1;
-        d.components.iter().all(|c| {
-            let sub = component_history(h, c);
-            self.scratch.check(&sub)
-        })
+        self.inner.check(h)
     }
 
     fn check_witnessed(&mut self, h: &History) -> Verdict {
@@ -221,7 +187,8 @@ impl ConsistencyChecker for DecomposingChecker {
             return self.inner.check_witnessed(h);
         }
         let d = decompose(h);
-        self.note(&d);
+        self.components = self.components.max(d.len() as u64);
+        self.largest_component = self.largest_component.max(d.largest() as u64);
         if d.len() <= 1 {
             return self.inner.check_witnessed(h);
         }
@@ -244,6 +211,5 @@ impl ConsistencyChecker for DecomposingChecker {
         self.scratch.reset();
         self.components = 0;
         self.largest_component = 0;
-        self.decomposed_checks = 0;
     }
 }

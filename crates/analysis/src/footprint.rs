@@ -17,11 +17,12 @@
 //! * `abort` is treated as a no-op (events before an abort still happen,
 //!   anything after can only shrink the dynamic sets).
 //!
-//! From the footprints follow a sound *independence* relation between
-//! transaction types (no write-write, write-read or read-write overlap is
-//! statically possible — so the transactions can never dynamically
-//! conflict) and a static prediction of the communication-graph component
-//! structure (a coarsening of [`fn@crate::decompose`]'s dynamic split).
+//! From the footprints follows a sound *independence* relation between
+//! transaction types: no write-write, write-read or read-write overlap is
+//! statically possible, so the transactions can never dynamically
+//! conflict. The explorer consults it in `compute_reorderings` to skip a
+//! candidate transaction before scanning its reads, and debug builds check
+//! every explored execution against the footprints.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -62,11 +63,6 @@ impl AccessSet {
         }
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.plain.is_empty() && self.exact.is_empty() && self.families.is_empty()
-    }
-
     /// Whether the two over-approximations can denote a common dynamic
     /// variable.
     pub fn overlaps(&self, other: &AccessSet) -> bool {
@@ -92,11 +88,6 @@ impl AccessSet {
             }
             _ => self.plain.contains(name),
         }
-    }
-
-    /// Number of distinct statically named entries (families count as one).
-    pub fn len(&self) -> usize {
-        self.plain.len() + self.exact.len() + self.families.len()
     }
 }
 
@@ -141,12 +132,6 @@ impl TxFootprint {
         self.writes.overlaps(&other.writes)
             || self.writes.overlaps(&other.reads)
             || self.reads.overlaps(&other.writes)
-    }
-
-    /// Whether the two transaction types can touch a common variable at
-    /// all (read-read included) — the static communication-graph edge.
-    pub fn shares_variable(&self, other: &TxFootprint) -> bool {
-        self.may_conflict(other) || self.reads.overlaps(&other.reads)
     }
 
     /// Whether the footprint covers every read and every write event of an
@@ -255,7 +240,7 @@ fn interpret(body: &[Instr], env: &mut AbsEnv, fp: &mut TxFootprint) {
 }
 
 /// Per-transaction-type footprints of a whole program, with the derived
-/// independence relation and component prediction.
+/// independence relation.
 #[derive(Clone, Debug)]
 pub struct ProgramFootprints {
     /// `per_tx[session][index]`.
@@ -314,11 +299,6 @@ impl ProgramFootprints {
         self.per_tx.get(session)?.get(index)
     }
 
-    /// Total number of transaction types.
-    pub fn num_types(&self) -> usize {
-        self.n
-    }
-
     fn flat(&self, session: usize, index: usize) -> Option<usize> {
         let base = *self.offsets.get(session)?;
         (index < self.per_tx[session].len()).then_some(base + index)
@@ -341,37 +321,6 @@ impl ProgramFootprints {
             (a.session.0 as usize, a.program_index),
             (b.session.0 as usize, b.program_index),
         )
-    }
-
-    /// Predicted number of communication-graph components over the
-    /// program's sessions: sessions whose transaction types can touch a
-    /// common variable are joined. Every dynamic decomposition of an
-    /// execution of the program has **at least** this many components
-    /// (the static graph over-approximates the dynamic edges).
-    pub fn predicted_components(&self) -> usize {
-        let n = self.per_tx.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        for s1 in 0..n {
-            for s2 in s1 + 1..n {
-                let touch = self.per_tx[s1]
-                    .iter()
-                    .any(|a| self.per_tx[s2].iter().any(|b| a.shares_variable(b)));
-                if touch {
-                    let (r1, r2) = (find(&mut parent, s1), find(&mut parent, s2));
-                    if r1 != r2 {
-                        parent[r1.max(r2)] = r1.min(r2);
-                    }
-                }
-            }
-        }
-        (0..n).filter(|&i| find(&mut parent, i) == i).count()
     }
 
     /// Debug-build soundness check: every executed transaction's dynamic
@@ -448,7 +397,12 @@ mod tests {
         assert!(!fps.independent((0, 0), (0, 0)));
         // Unknown positions are conservatively dependent.
         assert!(!fps.independent((0, 0), (5, 0)));
-        assert_eq!(fps.predicted_components(), 2);
+        // The sessions cannot touch a common variable, not even by two
+        // reads, so no execution joins them in one communication-graph
+        // component.
+        let a = fps.footprint(0, 0).expect("footprint of s0.t0");
+        let b = fps.footprint(1, 0).expect("footprint of s1.t0");
+        assert!(!a.reads.overlaps(&b.reads));
     }
 
     #[test]
@@ -486,7 +440,9 @@ mod tests {
         ]);
         let fps = ProgramFootprints::analyze(&p);
         assert!(fps.independent((0, 0), (1, 0)));
-        // …but they still share a variable, so one predicted component.
-        assert_eq!(fps.predicted_components(), 1);
+        // …but they still share a variable.
+        let a = fps.footprint(0, 0).expect("footprint of s0.t0");
+        let b = fps.footprint(1, 0).expect("footprint of s1.t0");
+        assert!(a.reads.overlaps(&b.reads));
     }
 }

@@ -41,14 +41,8 @@ pub struct BaselineRow {
     pub end_states: i64,
     /// Number of explore calls.
     pub explore_calls: i64,
-    /// Largest communication-graph component count of any decomposed
-    /// history, absent in pre-decomposition baselines.
-    pub components: Option<i64>,
-    /// Transaction count of the largest component, absent in
-    /// pre-decomposition baselines.
-    pub largest_component: Option<i64>,
-    /// Reordering candidates statically pruned, absent in
-    /// pre-decomposition baselines.
+    /// Reordering candidates statically pruned, absent in baselines
+    /// written before the static-analysis layer existed.
     pub statically_pruned: Option<i64>,
     /// Whether the baseline run hit its timeout (counts not comparable).
     pub timed_out: bool,
@@ -165,11 +159,9 @@ pub fn baseline_rows<F: Fn(&str) -> bool>(
             histories,
             end_states,
             explore_calls,
-            // Decomposition counters are deterministic too, but absent in
+            // The pruning counter is deterministic too, but absent in
             // baselines written before the static-analysis layer existed:
             // gated only when present.
-            components: r.get("components").and_then(JsonValue::as_i64),
-            largest_component: r.get("largest_component").and_then(JsonValue::as_i64),
             statically_pruned: r.get("statically_pruned").and_then(JsonValue::as_i64),
             timed_out,
         });
@@ -247,26 +239,13 @@ pub fn compare(
                 ));
             }
         }
-        for (what, want, got) in [
-            ("components", row.components, m.components as i64),
-            (
-                "largest_component",
-                row.largest_component,
-                m.largest_component as i64,
-            ),
-            (
-                "statically_pruned",
-                row.statically_pruned,
-                m.statically_pruned as i64,
-            ),
-        ] {
-            if let Some(want) = want {
-                if want != got {
-                    report.failures.push(format!(
-                        "{}/{}: {what} = {got}, baseline has {want}",
-                        row.benchmark, row.algorithm
-                    ));
-                }
+        if let Some(want) = row.statically_pruned {
+            let got = m.statically_pruned as i64;
+            if want != got {
+                report.failures.push(format!(
+                    "{}/{}: statically_pruned = {got}, baseline has {want}",
+                    row.benchmark, row.algorithm
+                ));
             }
         }
     }
@@ -515,8 +494,6 @@ mod tests {
             histories: counts.0,
             end_states: counts.1,
             explore_calls: counts.2,
-            components: None,
-            largest_component: None,
             statically_pruned: None,
             timed_out: false,
         }
@@ -537,8 +514,6 @@ mod tests {
             engine: EngineStats::default(),
             workers: 1,
             steals: 0,
-            components: 0,
-            largest_component: 0,
             statically_pruned: 0,
             first_rejection: None,
             timed_out: false,
@@ -632,27 +607,35 @@ mod tests {
     }
 
     #[test]
-    fn decomposition_counters_are_gated_when_present() {
+    fn statically_pruned_is_gated_when_present() {
         // Baselines written before the static-analysis layer lack the
-        // counters: rows stay comparable on the classic triple.
+        // counter: rows stay comparable on the classic triple.
         let baseline = [row("courseware-1", "CC", (30, 30, 401))];
         let mut m = measurement("courseware-1", "CC", (30, 30, 401));
-        m.components = 4;
-        m.largest_component = 7;
         m.statically_pruned = 123;
         let report = compare(&baseline, &[m.clone()], 60);
         assert!(report.ok(), "{:?}", report.failures);
 
-        // Once a baseline records them, all three are count-stable and
-        // any divergence fails the gate.
+        // Once a baseline records it, it is count-stable and any
+        // divergence fails the gate.
         let mut new = row("courseware-1", "CC", (30, 30, 401));
-        new.components = Some(4);
-        new.largest_component = Some(7);
         new.statically_pruned = Some(122);
-        let report = compare(&[new], &[m], 60);
+        let report = compare(&[new], &[m.clone()], 60);
         assert!(!report.ok());
         assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
         assert!(report.failures[0].contains("statically_pruned"));
+
+        // Rows that still carry the retired decomposition keys parse and
+        // compare as before: the gate ignores them.
+        let doc = JsonValue::parse(
+            r#"{"rows":[{"benchmark":"courseware-1","algorithm":"CC","histories":30,
+            "end_states":30,"explore_calls":401,"components":1,"largest_component":6,
+            "statically_pruned":123,"timed_out":false}]}"#,
+        )
+        .expect("well-formed baseline");
+        let (rows, notices) = baseline_rows(&doc, |_| true);
+        assert!(notices.is_empty(), "{notices:?}");
+        assert!(compare(&rows, &[m], 60).ok());
     }
 
     #[test]

@@ -182,12 +182,6 @@ pub struct Measurement {
     /// Exploration nodes migrated between workers by work stealing (`0`
     /// for serial runs and for parallel runs that never rebalanced).
     pub steals: u64,
-    /// Largest number of communication-graph components any decomposed
-    /// history of the run split into (`0` when nothing decomposed).
-    pub components: u64,
-    /// Transaction count of the largest component of the most-fragmented
-    /// decomposed history (`0` when nothing decomposed).
-    pub largest_component: u64,
     /// Reordering-candidate transactions skipped by the static
     /// independence relation before their reads were scanned.
     pub statically_pruned: u64,
@@ -317,8 +311,6 @@ fn run_inner(
         engine: report.engine_stats,
         workers: report.workers,
         steals: report.steals,
-        components: report.components,
-        largest_component: report.largest_component,
         statically_pruned: report.statically_pruned,
         first_rejection: report.first_rejection.as_ref().map(|v| v.to_string()),
         timed_out: report.timed_out,

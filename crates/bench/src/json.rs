@@ -410,11 +410,6 @@ pub fn measurement_json(m: &Measurement) -> JsonValue {
         ),
         ("workers".into(), JsonValue::uint(m.workers as u64)),
         ("steals".into(), JsonValue::uint(m.steals)),
-        ("components".into(), JsonValue::uint(m.components)),
-        (
-            "largest_component".into(),
-            JsonValue::uint(m.largest_component),
-        ),
         (
             "statically_pruned".into(),
             JsonValue::uint(m.statically_pruned),
@@ -518,8 +513,6 @@ mod tests {
             },
             workers: 4,
             steals: 5,
-            components: 3,
-            largest_component: 6,
             statically_pruned: 42,
             first_rejection: Some("t1 -so-> t2 -co-> t1".to_owned()),
             timed_out: false,
@@ -566,8 +559,6 @@ mod tests {
             "\"shared_memo_hits\":7",
             "\"workers\":4",
             "\"steals\":5",
-            "\"components\":3",
-            "\"largest_component\":6",
             "\"statically_pruned\":42",
             "\"first_rejection\":\"t1 -so-> t2 -co-> t1\"",
             "\"speedup\":2.0",
@@ -580,6 +571,9 @@ mod tests {
             !doc.contains("\"check_nanos\""),
             "the ambiguous check_nanos key must not reappear"
         );
+        // Exploration hands whole histories to the engines: no row carries
+        // decomposition counters.
+        assert!(!doc.contains("component"), "{doc}");
         // Escaped content round-trips through the writer unmangled.
         assert!(doc.contains("tiny \\\"quoted\\\"\\n"));
         // Balanced braces/brackets (a cheap well-formedness check; CI runs

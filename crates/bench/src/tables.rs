@@ -178,8 +178,6 @@ mod tests {
             engine: txdpor_history::EngineStats::default(),
             workers: 1,
             steals: 0,
-            components: 0,
-            largest_component: 0,
             statically_pruned: 0,
             first_rejection: None,
             timed_out,

@@ -41,14 +41,6 @@ pub struct ExploreConfig {
     /// which share subtrees through a work-stealing pool. The set of
     /// output-history fingerprints is identical to a serial run.
     pub workers: usize,
-    /// Whether `workers` was requested explicitly
-    /// ([`with_workers`](ExploreConfig::with_workers)) rather than derived
-    /// ([`with_auto_workers`](ExploreConfig::with_auto_workers)). Derived
-    /// worker counts fall back to the serial algorithm on single-core
-    /// machines, where the parallel mode's seeding and merge overhead can
-    /// only lose (measured at ~0.7x); explicit counts are honoured
-    /// verbatim (an explicit `1` still means the serial algorithm).
-    pub workers_explicit: bool,
     /// Memoise consistency verdicts by history fingerprint inside the
     /// exploration engine (`ValidWrites` and `Optimality`). Disabling this
     /// (the `no-memo` ablation) makes every check run the decision
@@ -108,7 +100,6 @@ impl ExploreConfig {
             full_optimality: true,
             track_duplicates: false,
             workers: 1,
-            workers_explicit: false,
             memoize: true,
         }
     }
@@ -140,37 +131,11 @@ impl ExploreConfig {
     /// Partitions the exploration across `workers` threads (clamped to at
     /// least one). Output-history fingerprints are identical to a serial
     /// run; only wall-clock time and the order of collected histories
-    /// change. The count is taken as an explicit override: no single-core
-    /// fallback applies (use
-    /// [`with_auto_workers`](ExploreConfig::with_auto_workers) for that).
+    /// change. The count is used as given, whatever the machine's core
+    /// count; `1` runs the serial algorithm.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self.workers_explicit = true;
         self
-    }
-
-    /// Like [`with_workers`](ExploreConfig::with_workers), but treats the
-    /// count as a *derived* default (e.g. from
-    /// `std::thread::available_parallelism`): when the machine reports a
-    /// single core the exploration automatically falls back to the serial
-    /// algorithm.
-    pub fn with_auto_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self.workers_explicit = false;
-        self
-    }
-
-    /// The worker count the exploration will actually use: derived counts
-    /// collapse to `1` on single-core machines, explicit counts are kept.
-    /// `detect` reports the machine's parallelism (`None` when detection
-    /// failed). It is called only for a derived count above one: probing
-    /// reads the process's cgroup files, which costs tens of microseconds.
-    pub fn effective_workers(&self, detect: impl FnOnce() -> Option<usize>) -> usize {
-        if self.workers > 1 && !self.workers_explicit && detect() == Some(1) {
-            1
-        } else {
-            self.workers
-        }
     }
 
     /// Number of worker threads the parallel mode should actually spawn
@@ -242,13 +207,6 @@ pub struct ExplorationReport {
     /// Largest number of events of any explored history (a proxy for the
     /// per-branch memory footprint; the algorithm is polynomial space).
     pub max_events: usize,
-    /// Largest number of communication-graph components any decomposed
-    /// history split into (0 when nothing decomposed — e.g. plain
-    /// `explore-ce`, which runs no output filter).
-    pub components: u64,
-    /// Transaction count of the largest component of the
-    /// most-fragmented decomposed history (0 when nothing decomposed).
-    pub largest_component: u64,
     /// Reordering-candidate transactions skipped by the static
     /// independence relation before their external reads were even
     /// scanned (each skip is a transaction the dynamic `writes_var`
@@ -375,64 +333,31 @@ mod tests {
     }
 
     #[test]
-    fn auto_workers_fall_back_to_serial_on_one_core() {
-        let auto =
-            ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_auto_workers(4);
-        assert_eq!(
-            auto.effective_workers(|| Some(1)),
-            1,
-            "derived count yields"
-        );
-        assert_eq!(auto.effective_workers(|| Some(8)), 4);
-        assert_eq!(
-            auto.effective_workers(|| None),
-            4,
-            "unknown parallelism keeps the request"
-        );
-        let explicit = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_workers(4);
-        assert_eq!(
-            explicit.effective_workers(|| Some(1)),
-            4,
-            "explicit count overrides"
-        );
-        let serial = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency);
-        assert_eq!(serial.effective_workers(|| Some(16)), 1);
-    }
-
-    #[test]
     fn with_workers_zero_clamps_to_serial() {
         let c = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_workers(0);
         assert_eq!(c.workers, 1, "zero workers clamps to the serial minimum");
-        assert_eq!(c.effective_workers(|| Some(8)), 1);
-        let auto =
-            ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_auto_workers(0);
-        assert_eq!(auto.workers, 1);
+        assert_eq!(
+            ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).workers,
+            1,
+            "serial by default"
+        );
     }
 
     #[test]
     fn one_worker_always_means_the_serial_algorithm() {
-        // An explicit 1 must never enter the parallel mode, whatever the
-        // detected parallelism.
+        // `explore` enters the parallel mode only above one worker, and
+        // the count is used as given: an explicit 1 stays 1 and runs on
+        // one worker.
+        use txdpor_program::dsl::*;
+        let p = program(vec![
+            session(vec![tx("w", vec![write(g("x"), cint(1))])]),
+            session(vec![tx("r", vec![read("a", g("x"))])]),
+        ]);
         let c = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_workers(1);
-        assert_eq!(c.effective_workers(|| Some(64)), 1);
-        assert_eq!(c.effective_workers(|| None), 1);
-    }
-
-    #[test]
-    fn cores_are_probed_only_for_a_derived_parallel_count() {
-        let cc = || ExploreConfig::explore_ce(IsolationLevel::CausalConsistency);
-        let probes = std::cell::Cell::new(0);
-        let probe = || {
-            probes.set(probes.get() + 1);
-            Some(8)
-        };
-        assert_eq!(cc().effective_workers(probe), 1, "serial default");
-        assert_eq!(cc().with_workers(1).effective_workers(probe), 1);
-        assert_eq!(cc().with_auto_workers(1).effective_workers(probe), 1);
-        assert_eq!(cc().with_workers(4).effective_workers(probe), 4);
-        assert_eq!(probes.get(), 0, "no serial or explicit config probes");
-        assert_eq!(cc().with_auto_workers(4).effective_workers(probe), 4);
-        assert_eq!(probes.get(), 1, "a derived parallel count probes once");
+        assert_eq!(c.workers, 1);
+        let report = crate::explore(&p, c).expect("the program replays");
+        assert_eq!((report.workers, report.steals), (1, 0));
+        assert_eq!(report.outputs, 2);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use txdpor_analysis::DecomposingChecker;
 use txdpor_history::{
-    ConsistencyChecker, Event, EventId, EventKind, History, IsolationLevel, LevelSpec, SessionId,
-    TxId, VarTable,
+    engine_for_spec_with, ConsistencyChecker, Event, EventId, EventKind, History, IsolationLevel,
+    LevelSpec, SessionId, TxId, VarTable,
 };
 use txdpor_program::{initial_history, oracle_next, Program, SchedulerStep, TxStep};
 
@@ -80,13 +79,11 @@ pub fn dfs_explore(
         report: ExplorationReport::default(),
         seen: HashSet::new(),
         deadline: Deadline::start(config.timeout),
-        checker: DecomposingChecker::new(&config.spec, true),
+        checker: engine_for_spec_with(&config.spec, true),
     };
     let mut initial = initial_history(program, &mut dfs.vars);
     dfs.explore(&mut initial)?;
     dfs.report.engine_stats = dfs.checker.stats();
-    dfs.report.components = dfs.checker.components();
-    dfs.report.largest_component = dfs.checker.largest_component();
     let mut report = dfs.report;
     report.duration = dfs.deadline.elapsed();
     report.vars = dfs.vars;
@@ -109,13 +106,10 @@ struct Dfs<'a> {
     /// The run's clock and budget.
     deadline: Deadline,
     /// Stateful engine deciding the semantics' isolation level, reused
-    /// for every trial history of the run. Wrapped in communication-graph
-    /// decomposition: under a strong spec (PC/SI/SER present) each
-    /// boolean check splits the trial history into independent
-    /// components, whose commit-order search state spaces add up instead
-    /// of multiplying; weak specs go straight to the wrapped incremental
-    /// engine.
-    checker: DecomposingChecker,
+    /// for every trial history of the run: each trial mutates the one
+    /// history in place, so the engine syncs its indexes incrementally
+    /// and decides the history whole.
+    checker: Box<dyn ConsistencyChecker>,
 }
 
 impl Dfs<'_> {

@@ -41,7 +41,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use txdpor_analysis::{DecomposingChecker, ProgramFootprints};
+use txdpor_analysis::ProgramFootprints;
 use txdpor_history::{
     engine_for_spec_with, ConsistencyChecker, Event, EventId, EventKind, History,
     HistoryFingerprint, HistoryMark, SessionId, SharedMemo, TxId, TxSet, VarTable, Verdict,
@@ -142,10 +142,8 @@ pub fn explore_with_assertion(
         "the exploration spec must be causally extensible; use explore_ce_star for {}",
         config.exploration
     );
-    let workers =
-        config.effective_workers(|| std::thread::available_parallelism().ok().map(|n| n.get()));
-    if workers > 1 {
-        return explore_parallel(program, &config, assertion, workers);
+    if config.workers > 1 {
+        return explore_parallel(program, &config, assertion);
     }
     let mut explorer = Explorer::new(program, &config, assertion);
     let root = OrderedHistory::new(initial_history(program, &mut explorer.vars));
@@ -183,8 +181,8 @@ fn explore_parallel(
     program: &Program,
     config: &ExploreConfig,
     assertion: Option<&AssertionFn>,
-    workers: usize,
 ) -> Result<ExplorationReport, ExploreError> {
+    let workers = config.workers;
     let shared_memo = Arc::new(SharedMemo::new(workers));
     let mut seeder = Explorer::new(program, config, assertion);
     seeder.attach_shared_memo(&shared_memo);
@@ -195,7 +193,7 @@ fn explore_parallel(
     // smaller than the worker count caps the spawn (an empty frontier — the
     // seeding pass finished the exploration — skips the worker phase
     // entirely).
-    let spawn = config.spawn_workers(frontier.len()).min(workers);
+    let spawn = config.spawn_workers(frontier.len());
     let deadline = &seeder.deadline;
     // One variable numbering for every worker: handed-out nodes and
     // `SharedMemo` keys carry variable ids across workers.
@@ -323,8 +321,6 @@ fn merge_worker(report: &mut ExplorationReport, worker: ExplorationReport) {
     report.timed_out |= worker.timed_out;
     report.max_events = report.max_events.max(worker.max_events);
     report.statically_pruned += worker.statically_pruned;
-    report.components = report.components.max(worker.components);
-    report.largest_component = report.largest_component.max(worker.largest_component);
     report.histories.extend(worker.histories);
     if report.violating_history.is_none() {
         report.violating_history = worker.violating_history;
@@ -556,12 +552,10 @@ struct Explorer<'a> {
     /// re-orderings it decides, for tests to replay.
     #[cfg(test)]
     commits: Option<Vec<OrderedHistory>>,
-    /// Engine deciding the output level (`explore-ce*` only), wrapped in
-    /// communication-graph decomposition: complete histories that split
-    /// are checked component by component, and the wrapper's counters
-    /// feed the report's `components` statistics. It keeps no memo:
-    /// explore-ce reaches each complete history once.
-    output_checker: Option<DecomposingChecker>,
+    /// Engine deciding the output level (`explore-ce*` only), handed each
+    /// complete history whole. It keeps no memo: explore-ce reaches each
+    /// complete history once.
+    output_checker: Option<Box<dyn ConsistencyChecker>>,
     /// Static per-transaction-type read/write footprints of the program:
     /// the independence relation consulted before scanning reordering
     /// candidates, and (in debug builds) the soundness reference every
@@ -589,7 +583,7 @@ impl<'a> Explorer<'a> {
             #[cfg(test)]
             commits: None,
             output_checker: (config.output != config.exploration)
-                .then(|| DecomposingChecker::new(&config.output, false)),
+                .then(|| engine_for_spec_with(&config.output, false)),
             footprints: ProgramFootprints::analyze(program),
         }
     }
@@ -624,11 +618,6 @@ impl<'a> Explorer<'a> {
         let mut stats = self.checker.stats();
         if let Some(output) = &self.output_checker {
             stats.absorb(&output.stats());
-            self.report.components = self.report.components.max(output.components());
-            self.report.largest_component = self
-                .report
-                .largest_component
-                .max(output.largest_component());
         }
         self.report.engine_stats.absorb(&stats);
     }
@@ -995,7 +984,7 @@ impl<'a> Explorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txdpor_history::{IsolationLevel, Var};
+    use txdpor_history::{IsolationLevel, LevelSpec, Var};
     use txdpor_program::dsl::*;
 
     /// Fig. 10a: a reader of x and y against a writer of x and y.
@@ -1127,24 +1116,27 @@ mod tests {
         );
     }
 
-    #[test]
-    fn decomposed_output_filter_reports_components() {
-        // Two disjoint lost-update pairs: sessions 0–1 race on x,
-        // sessions 2–3 race on y. Complete histories split into two
-        // communication-graph components of two transactions each, which
-        // the `explore-ce*` output filter checks independently.
+    /// Two disjoint lost-update pairs: sessions 0–1 race on x, sessions
+    /// 2–3 race on y.
+    fn two_pair_program() -> Program {
         let incr = |name: &str| {
             tx(
                 "incr",
                 vec![read("a", g(name)), write(g(name), add(local("a"), cint(1)))],
             )
         };
-        let p = program(vec![
+        program(vec![
             session(vec![incr("x")]),
             session(vec![incr("x")]),
             session(vec![incr("y")]),
             session(vec![incr("y")]),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn output_filter_rejects_a_lost_update_within_one_pair() {
+        let p = two_pair_program();
+        let ser = LevelSpec::uniform(IsolationLevel::Serializability);
         let report = run(
             &p,
             ExploreConfig::explore_ce_star(
@@ -1152,17 +1144,65 @@ mod tests {
                 IsolationLevel::Serializability,
             ),
         );
-        assert_eq!(report.components, 2, "two independent pairs");
-        assert_eq!(report.largest_component, 2, "two transactions each");
         assert!(report.statically_pruned > 0);
-        // The decomposed filter must agree with the product of the
-        // one-pair counts: each pair alone has 2 serializable histories
-        // out of 3 CC ones.
+        // The filter must agree with the product of the one-pair counts:
+        // each pair alone has 2 serializable histories out of 3 CC ones.
         assert_eq!(report.end_states, 9);
         assert_eq!(report.outputs, 4);
         for h in &report.histories {
-            assert!(IsolationLevel::Serializability.satisfies(h));
+            assert!(ser.satisfies(h));
         }
+        // explore-ce*(CC, SER) walks the tree of explore-ce(CC), ids
+        // included, so the first rejected end state is the first CC
+        // output that SER rejects. Its core is a closed cycle of that
+        // history, over the transactions of one pair.
+        let core = report.first_rejection.expect("lost updates are rejected");
+        let cc = run(
+            &p,
+            ExploreConfig::explore_ce(IsolationLevel::CausalConsistency),
+        );
+        let rejected = cc
+            .histories
+            .iter()
+            .find(|h| !ser.satisfies(h))
+            .expect("a CC history loses an update");
+        txdpor_history::testkit::assert_verdict_valid(
+            rejected,
+            &ser,
+            &Verdict::Inconsistent(core.clone()),
+            false,
+            "the first rejection",
+        );
+        let pairs: HashSet<u32> = core
+            .cycle
+            .iter()
+            .filter(|e| !e.from.is_init())
+            .map(|e| rejected.tx(e.from).session.0 / 2)
+            .collect();
+        assert_eq!(pairs.len(), 1, "core spans both pairs: {core}");
+    }
+
+    #[test]
+    fn dfs_and_filtered_exploration_agree_on_disjoint_pairs() {
+        // Under SER, the baseline's trial histories hold sessions of both
+        // pairs; its engine must decide them whole as the filter does.
+        let p = two_pair_program();
+        let baseline = crate::dfs_explore(
+            &p,
+            crate::DfsConfig::new(IsolationLevel::Serializability).collecting_histories(),
+        )
+        .unwrap();
+        let filtered = run(
+            &p,
+            ExploreConfig::explore_ce_star(
+                IsolationLevel::CausalConsistency,
+                IsolationLevel::Serializability,
+            ),
+        );
+        let a: HashSet<_> = baseline.histories.iter().map(|h| h.fingerprint()).collect();
+        let b: HashSet<_> = filtered.histories.iter().map(|h| h.fingerprint()).collect();
+        assert_eq!(a, b, "baseline and filtered exploration disagree");
+        assert_eq!(baseline.outputs, 4);
     }
 
     #[test]

@@ -95,17 +95,19 @@ pub(crate) fn compute_reorderings_and_ancestors(
         if ancestors.contains(log.id) {
             continue;
         }
-        // tr(r) must precede t in the history order: asked once per log,
-        // at its first read that the target writes.
-        let mut precedes = None;
         for read in log.external_reads() {
             let x = read.var().expect("read has a variable");
             if !target_log.writes_var(x) {
                 continue;
             }
-            if !*precedes.get_or_insert_with(|| h.tx_before_event(log.id, last)) {
-                break;
-            }
+            // tr(r) < t holds for every other live transaction: every live
+            // event is ordered, and `last`, the target's commit, is the
+            // order's last event.
+            debug_assert!(
+                h.tx_before_event(log.id, last),
+                "candidate {} is not ordered before the target's commit",
+                log.id
+            );
             out.push(Reordering {
                 read: read.id,
                 target,

@@ -17,9 +17,10 @@
 //! * [`store`] — a deterministic simulated distributed store with fault
 //!   injection, whose recorded executions are checked end-to-end against
 //!   their claimed isolation levels;
-//! * [`analysis`] — static conflict analysis and communication-graph
-//!   decomposition: pure pre-processing that splits checking and prunes
-//!   exploration without changing any verdict.
+//! * [`analysis`] — static conflict analysis, which prunes exploration,
+//!   and communication-graph decomposition, which splits the witnessed
+//!   check of a recorded store run: pure pre-processing that changes no
+//!   verdict.
 //!
 //! # Quick start
 //!
