@@ -2,11 +2,10 @@
 //! component of a history independently.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use txdpor_history::{
     engine_for_spec_with, ConsistencyChecker, EngineStats, History, IsolationLevel, LevelSpec,
-    SharedMemo, TxId, Verdict, Violation, ViolationEdge, Witness,
+    TxId, Verdict, Violation, ViolationEdge, Witness,
 };
 
 use crate::decompose::{component_history, decompose, Decomposition};
@@ -193,11 +192,6 @@ impl ConsistencyChecker for DecomposingChecker {
             return self.inner.check_witnessed(h);
         }
         self.check_witnessed_decomposed(h, &d)
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        self.inner.attach_shared_memo(Arc::clone(&memo));
-        self.scratch.attach_shared_memo(memo);
     }
 
     fn stats(&self) -> EngineStats {

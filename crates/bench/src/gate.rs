@@ -448,10 +448,9 @@ pub fn compare_parallel(
         let shown = |key: &str| par.get(key).map_or("-".to_owned(), JsonValue::to_string);
         report.lines.push(format!(
             "{bench}: serial {ser_secs:.3}s, parallel {par_secs:.3}s -> {ratio:.2}x \
-             (workers={}, steals={}, shared_memo_hits={}){}",
+             (workers={}, steals={}){}",
             shown("workers"),
             shown("steals"),
-            shown("shared_memo_hits"),
             if gated {
                 ""
             } else {

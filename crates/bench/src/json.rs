@@ -404,10 +404,6 @@ pub fn measurement_json(m: &Measurement) -> JsonValue {
             "search_nodes".into(),
             JsonValue::uint(m.engine.search_nodes),
         ),
-        (
-            "shared_memo_hits".into(),
-            JsonValue::uint(m.engine.shared_memo_hits),
-        ),
         ("workers".into(), JsonValue::uint(m.workers as u64)),
         ("steals".into(), JsonValue::uint(m.steals)),
         (
@@ -556,7 +552,6 @@ mod tests {
             "\"history_bytes_copied\":2048",
             "\"check_cpu_nanos\":123456",
             "\"search_nodes\":8765",
-            "\"shared_memo_hits\":7",
             "\"workers\":4",
             "\"steals\":5",
             "\"statically_pruned\":42",
@@ -571,9 +566,11 @@ mod tests {
             !doc.contains("\"check_nanos\""),
             "the ambiguous check_nanos key must not reappear"
         );
-        // Exploration hands whole histories to the engines: no row carries
-        // decomposition counters.
+        // Exploration hands whole histories to the engines, and workers
+        // share no verdicts: no row carries decomposition counters or
+        // shared-memo hits.
         assert!(!doc.contains("component"), "{doc}");
+        assert!(!doc.contains("shared_memo_hits"), "{doc}");
         // Escaped content round-trips through the writer unmangled.
         assert!(doc.contains("tiny \\\"quoted\\\"\\n"));
         // Balanced braces/brackets (a cheap well-formedness check; CI runs

@@ -36,10 +36,12 @@ pub struct ExploreConfig {
     /// outputs).
     pub track_duplicates: bool,
     /// Number of exploration workers. `1` (the default) runs the classic
-    /// serial algorithm; larger values run the same traversal on
-    /// `std::thread::scope` workers with per-worker consistency engines,
-    /// which share subtrees through a work-stealing pool. The set of
-    /// output-history fingerprints is identical to a serial run.
+    /// serial algorithm. Larger values run the same traversal on that many
+    /// workers, each with its own consistency engines: worker 0 explores
+    /// from the root on the calling thread, and the others are
+    /// `std::thread::scope` helpers that start idle and get subtrees
+    /// through a work-stealing pool. The set of output-history
+    /// fingerprints is identical to a serial run.
     pub workers: usize,
     /// Memoise consistency verdicts by history fingerprint inside the
     /// exploration engine (`ValidWrites` and `Optimality`). Disabling this
@@ -138,16 +140,6 @@ impl ExploreConfig {
         self
     }
 
-    /// Number of worker threads the parallel mode should actually spawn
-    /// for a seeded frontier of `frontier_len` nodes: never more than the
-    /// tasks available, so no thread starts out idle (a frontier of 3
-    /// nodes starts at most 3 workers, which rebalance their subtrees
-    /// later). Returns `0` for an empty frontier: the seeding pass
-    /// finished the exploration and the worker phase is skipped.
-    pub fn spawn_workers(&self, frontier_len: usize) -> usize {
-        self.workers.min(frontier_len)
-    }
-
     /// Disables fingerprint memoisation inside the exploration engine
     /// (ablation isolating the memo's contribution; the incremental index
     /// sync stays on, and the output filter has no memo either way).
@@ -195,14 +187,12 @@ pub struct ExplorationReport {
     pub timed_out: bool,
     /// Wall-clock duration of the exploration.
     pub duration: Duration,
-    /// Number of worker threads that actually explored (`1` for a serial
-    /// run; the parallel mode caps the spawn at the seeded frontier size,
-    /// so this can be smaller than the configured
-    /// [`workers`](ExploreConfig::workers)).
+    /// Number of workers of the run: the configured
+    /// [`workers`](ExploreConfig::workers) (`1` for a serial run).
     pub workers: usize,
     /// Total exploration nodes migrated between workers by work stealing
-    /// (`0` for a serial run). A zero on a multi-worker run means the
-    /// seeding pass alone balanced the tree.
+    /// (`0` for a serial run). A zero on a multi-worker run means worker 0
+    /// finished before any helper asked for work.
     pub steals: u64,
     /// Largest number of events of any explored history (a proxy for the
     /// per-branch memory footprint; the algorithm is polynomial space).
@@ -358,19 +348,6 @@ mod tests {
         let report = crate::explore(&p, c).expect("the program replays");
         assert_eq!((report.workers, report.steals), (1, 0));
         assert_eq!(report.outputs, 2);
-    }
-
-    #[test]
-    fn spawn_workers_never_exceeds_the_frontier() {
-        let c = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_workers(4);
-        assert_eq!(c.spawn_workers(100), 4, "enough tasks: full worker count");
-        assert_eq!(c.spawn_workers(3), 3, "more workers than tasks: clamp");
-        assert_eq!(c.spawn_workers(1), 1);
-        assert_eq!(
-            c.spawn_workers(0),
-            0,
-            "empty frontier: the seeding pass finished everything, spawn nobody"
-        );
     }
 
     #[test]

@@ -31,20 +31,20 @@
 //! step after a swap, like the first step of a task, rebuilds the cursor by
 //! replaying that log.
 //!
-//! Parallel workers run the same traversal on every task they pop. They
-//! materialise children as histories of their own only to hand work to
-//! other workers: in the breadth-first seeding pass, and when a sibling is
-//! idle, the untried moves of the shallowest frame on their path.
+//! Parallel workers run the same traversal on every task they take. Worker
+//! 0 starts at the root, so with no sibling asking for work it explores
+//! exactly as a serial run does. Workers materialise children as histories
+//! of their own only to hand work to a sibling that is idle: the untried
+//! moves of the shallowest frame on their path.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use txdpor_analysis::ProgramFootprints;
 use txdpor_history::{
     engine_for_spec_with, ConsistencyChecker, Event, EventId, EventKind, History,
-    HistoryFingerprint, HistoryMark, SessionId, SharedMemo, TxId, TxSet, VarTable, Verdict,
+    HistoryFingerprint, HistoryMark, SessionId, TxId, TxSet, VarTable, Verdict,
 };
 use txdpor_program::{
     initial_history, oracle_next, replay_all, replay_pending, Program, SchedulerStep,
@@ -58,11 +58,6 @@ use crate::optimality::CommitPass;
 use crate::ordered::OrderedHistory;
 use crate::steal::{Backoff, StealPool};
 use crate::swap::{apply_swap, compute_reorderings_and_ancestors};
-
-/// Seed the parallel frontier with this many tasks per worker before
-/// handing the queue over, so that uneven subtree sizes still keep every
-/// worker busy.
-const SEED_TASKS_PER_WORKER: usize = 8;
 
 /// Error raised by an exploration.
 #[derive(Clone, Debug, PartialEq)]
@@ -156,151 +151,76 @@ pub fn explore_with_assertion(
     Ok(report)
 }
 
-/// Parallel `explore-ce` over a work-stealing pool: a breadth-first
-/// seeding pass expands the exploration tree from the root until the
-/// frontier holds enough disjoint subtrees, distributes them round-robin
-/// across per-worker LIFO deques ([`StealPool`]), and lets
-/// `std::thread::scope` workers — each with its own consistency engines
-/// and event counters — explore their subtrees with the serial in-place
-/// traversal. A worker whose sibling idles hands it the untried children
-/// of the shallowest node on its path; idle workers steal the oldest tasks
-/// of a busy sibling's deque. Termination is detected by the pool's
-/// in-flight counter, so skewed trees keep every worker busy to the end
-/// instead of starving all but one. A [`SharedMemo`] attached to every
-/// worker's exploration engine lets siblings reuse each other's
-/// consistency verdicts.
+/// Parallel `explore-ce` over a work-stealing pool ([`StealPool`]). Worker
+/// 0 runs on the calling thread and takes the root as its in-flight task:
+/// it explores the whole tree in place, as a serial run would, except for
+/// what it hands out. The `workers − 1` helper threads start idle. Each
+/// worker has its own consistency engines and counters. A busy worker
+/// whose sibling idles hands it the untried children of the shallowest
+/// node on its path; idle workers steal the oldest tasks of a busy
+/// sibling's deque. Termination is detected by the pool's in-flight
+/// counter, so skewed trees keep every worker busy to the end.
 ///
 /// The exploration tree is identical to the serial one (children of a node
 /// depend only on that node, and every node is explored exactly once no
 /// matter how tasks migrate), so the merged report agrees with a serial
 /// run on every deterministic quantity: end states, outputs, blocked
 /// reads, explore calls and the set of output-history fingerprints. Only
-/// wall clock, the order of collected histories and the choice of the
-/// recorded violating history may differ.
+/// wall clock, engine counters such as memo hits, the order of collected
+/// histories and the choice of the recorded violating history may differ.
 fn explore_parallel(
     program: &Program,
     config: &ExploreConfig,
     assertion: Option<&AssertionFn>,
 ) -> Result<ExplorationReport, ExploreError> {
-    let workers = config.workers;
-    let shared_memo = Arc::new(SharedMemo::new(workers));
-    let mut seeder = Explorer::new(program, config, assertion);
-    seeder.attach_shared_memo(&shared_memo);
-    let root = OrderedHistory::new(initial_history(program, &mut seeder.vars));
-    let frontier = seeder.seed(root, workers * SEED_TASKS_PER_WORKER)?;
-
-    // Never spawn threads that could not possibly receive work: a frontier
-    // smaller than the worker count caps the spawn (an empty frontier — the
-    // seeding pass finished the exploration — skips the worker phase
-    // entirely).
-    let spawn = config.spawn_workers(frontier.len());
-    let deadline = &seeder.deadline;
-    // One variable numbering for every worker: handed-out nodes and
-    // `SharedMemo` keys carry variable ids across workers.
-    let shared_vars = Arc::new(Mutex::new(std::mem::take(&mut seeder.vars)));
-    let pool: StealPool<OrderedHistory> = StealPool::new(spawn.max(1));
-    pool.seed(frontier);
-    type WorkerResult = (ExplorationReport, HashSet<HistoryFingerprint>);
-    let results: Mutex<Vec<WorkerResult>> = Mutex::new(Vec::new());
-    let failed = AtomicBool::new(false);
+    let mut first = Explorer::new(program, config, assertion);
+    let root = OrderedHistory::new(initial_history(program, &mut first.vars));
+    // One variable numbering for every worker: handed-out nodes carry
+    // variable ids between workers.
+    let shared_vars = Arc::new(Mutex::new(std::mem::take(&mut first.vars)));
+    first.vars = VarTable::backed_by(Arc::clone(&shared_vars));
+    let pool: StealPool<OrderedHistory> = StealPool::new(config.workers);
+    pool.hold();
     let failure: Mutex<Option<ExploreError>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for i in 0..spawn {
-            let vars = VarTable::backed_by(Arc::clone(&shared_vars));
-            let (pool, results, failed, failure) = (&pool, &results, &failed, &failure);
-            let shared_memo = Arc::clone(&shared_memo);
-            std::thread::Builder::new()
-                .name(format!("explore-worker-{i}"))
-                .spawn_scoped(scope, move || {
-                    let mut worker = Explorer::new(program, config, assertion);
-                    worker.vars = vars;
-                    worker.deadline = deadline.clone();
-                    worker.attach_shared_memo(&shared_memo);
-                    let mut backoff = Backoff::default();
-                    let mut idle = false;
-                    loop {
-                        if failed.load(Ordering::Acquire) || pool.is_poisoned() {
-                            break;
-                        }
-                        // Event/transaction identifiers only need to be
-                        // unique within a branch; the history tracks its own
-                        // id high-water marks (fingerprints are
-                        // identifier-independent), so a task explores
-                        // identically wherever it lands.
-                        if let Some(task) = pool.pop_local(i) {
-                            if std::mem::take(&mut idle) {
-                                pool.leave_idle();
-                            }
-                            backoff.reset();
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    worker.explore(task, Some((pool, i)))
-                                }));
-                            match outcome {
-                                Ok(Ok(())) => {
-                                    pool.finish_task();
-                                    continue;
-                                }
-                                Ok(Err(e)) => {
-                                    pool.finish_task();
-                                    *failure.lock().expect("failure lock") = Some(e);
-                                    failed.store(true, Ordering::Release);
-                                    break;
-                                }
-                                Err(payload) => {
-                                    // The panicking task never reached its
-                                    // `finish_task`: drain its in-flight
-                                    // slot and poison the pool so siblings
-                                    // exit instead of spinning on a count
-                                    // that can no longer reach zero, then
-                                    // re-raise so the scope join propagates
-                                    // the panic to the caller.
-                                    pool.finish_task();
-                                    pool.poison();
-                                    std::panic::resume_unwind(payload);
-                                }
-                            }
-                        }
-                        if pool.steal_into(i) > 0 {
-                            backoff.reset();
-                            continue;
-                        }
-                        if pool.is_done() {
-                            break;
-                        }
-                        if !std::mem::replace(&mut idle, true) {
-                            pool.enter_idle();
-                        }
-                        backoff.idle();
-                    }
-                    if idle {
-                        pool.leave_idle();
-                    }
-                    worker.record_engine_stats();
-                    results
-                        .lock()
-                        .expect("results lock")
-                        .push((worker.report, worker.seen));
-                })
-                .expect("spawning an exploration worker succeeds");
-        }
+    let helpers = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..config.workers)
+            .map(|w| {
+                let vars = VarTable::backed_by(Arc::clone(&shared_vars));
+                let deadline = first.deadline.clone();
+                let (pool, failure) = (&pool, &failure);
+                std::thread::Builder::new()
+                    .name(format!("explore-worker-{w}"))
+                    .spawn_scoped(scope, move || {
+                        let mut helper = Explorer::new(program, config, assertion);
+                        helper.vars = vars;
+                        helper.deadline = deadline;
+                        helper.work(pool, w, None, failure);
+                        (helper.report, helper.seen)
+                    })
+                    .expect("spawning an exploration worker succeeds")
+            })
+            .collect();
+        first.work(&pool, 0, Some(root), &failure);
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect::<Vec<_>>()
     });
     if let Some(e) = failure.into_inner().expect("failure lock") {
         return Err(e);
     }
 
-    seeder.record_engine_stats();
-    let mut report = seeder.report;
-    let mut seen = seeder.seen;
-    for (worker_report, worker_seen) in results.into_inner().expect("results lock") {
-        merge_worker(&mut report, worker_report);
-        seen.extend(worker_seen);
+    let mut report = first.report;
+    let mut seen = first.seen;
+    for (helper_report, helper_seen) in helpers {
+        merge_worker(&mut report, helper_report);
+        seen.extend(helper_seen);
     }
     if config.track_duplicates {
         report.duplicate_outputs = report.outputs - seen.len() as u64;
     }
-    report.duration = seeder.deadline.elapsed();
-    report.workers = spawn.max(1);
+    report.duration = first.deadline.elapsed();
+    report.workers = config.workers;
     report.steals = pool.steals();
     report.vars = shared_vars
         .lock()
@@ -535,7 +455,7 @@ struct Explorer<'a> {
     vars: VarTable,
     report: ExplorationReport,
     seen: HashSet<HistoryFingerprint>,
-    /// The run's clock and budget; parallel workers copy the seeder's.
+    /// The run's clock and budget; parallel helpers copy worker 0's.
     deadline: Deadline,
     /// The pending transaction of the history being explored and its
     /// cursor, carried from step to step. `None` when the history has no
@@ -601,17 +521,6 @@ impl<'a> Explorer<'a> {
         TxId(h.max_tx_id() + 1)
     }
 
-    /// Routes the explorer's exploration engine through a cross-worker
-    /// [`SharedMemo`], so verdicts decided by one worker are table lookups
-    /// for its siblings. Verdicts are pure functions of
-    /// `(history, spec)`, so the exploration tree — and every
-    /// deterministic report quantity — is unchanged; only `memo_hits` /
-    /// `shared_memo_hits` and wall clock move. The output filter keeps no
-    /// memo, so it has nothing to share.
-    fn attach_shared_memo(&mut self, memo: &Arc<SharedMemo>) {
-        self.checker.attach_shared_memo(Arc::clone(memo));
-    }
-
     /// Folds the engines' counters into the report (once, at the end of
     /// this explorer's run).
     fn record_engine_stats(&mut self) {
@@ -631,41 +540,72 @@ impl<'a> Explorer<'a> {
         passed
     }
 
-    /// The breadth-first seeding pass of a parallel run: expands nodes
-    /// from `root` one at a time, materialising their children, until the
-    /// frontier holds `target` nodes or nothing is left to expand.
-    fn seed(
+    /// The loop of worker `w` of a parallel run: explores `held` (worker
+    /// 0's root), then every task it pops or steals, until the pool is done
+    /// or poisoned, and folds its engines' counters into its report. An
+    /// error is stored in `failure` and poisons the pool; a panic poisons
+    /// it and propagates.
+    fn work(
         &mut self,
-        root: OrderedHistory,
-        target: usize,
-    ) -> Result<VecDeque<OrderedHistory>, ExploreError> {
-        let mut frontier = VecDeque::from([root]);
-        let mut frames = Vec::new();
-        while !frontier.is_empty() && frontier.len() < target && !self.timed_out() {
-            let mut node = frontier.pop_front().expect("frontier is non-empty");
-            self.pending = None;
-            let extended = self.expand(&mut node, &mut frames)?;
-            let children = match frames.pop() {
-                Some(frame) => {
-                    let children = untried_children(&node, std::slice::from_ref(&frame), 0);
-                    frame.rewind(&mut node);
-                    children
+        pool: &StealPool<OrderedHistory>,
+        w: usize,
+        mut held: Option<OrderedHistory>,
+        failure: &Mutex<Option<ExploreError>>,
+    ) {
+        let mut backoff = Backoff::default();
+        let mut idle = false;
+        while !pool.is_poisoned() {
+            // Event/transaction identifiers only need to be unique within
+            // a branch; the history tracks its own id high-water marks
+            // (fingerprints are identifier-independent), so a task explores
+            // identically wherever it lands.
+            if let Some(task) = held.take().or_else(|| pool.pop_local(w)) {
+                if std::mem::take(&mut idle) {
+                    pool.leave_idle();
                 }
-                None => Vec::new(),
-            };
-            // A step's extension, now `node` itself, is its first child.
-            if extended {
-                frontier.push_back(node);
+                backoff.reset();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.explore(task, Some((pool, w)))
+                }));
+                // Finished whatever the outcome: a failed or panicking task
+                // must not keep the in-flight count above zero.
+                pool.finish_task();
+                match outcome {
+                    Ok(Ok(())) => continue,
+                    Ok(Err(e)) => {
+                        *failure.lock().expect("failure lock") = Some(e);
+                        pool.poison();
+                        break;
+                    }
+                    Err(payload) => {
+                        pool.poison();
+                        std::panic::resume_unwind(payload);
+                    }
+                }
             }
-            frontier.extend(children);
+            if pool.steal_into(w) > 0 {
+                backoff.reset();
+                continue;
+            }
+            if pool.is_done() {
+                break;
+            }
+            if !std::mem::replace(&mut idle, true) {
+                pool.enter_idle();
+            }
+            backoff.idle();
         }
-        Ok(frontier)
+        if idle {
+            pool.leave_idle();
+        }
+        self.record_engine_stats();
     }
 
     /// Explores the subtree rooted at `h` in place (see the module
     /// documentation). With a `pool`, the explorer is worker `w` of a
-    /// parallel run and hands out untried moves whenever the pool
-    /// [wants work](StealPool::wants_work).
+    /// parallel run: it hands out untried moves whenever the pool
+    /// [wants work](StealPool::wants_work), and stops early once the pool
+    /// is poisoned.
     fn explore(
         &mut self,
         h: OrderedHistory,
@@ -695,6 +635,11 @@ impl<'a> Explorer<'a> {
             }
             top.next += 1;
             if let Some((pool, w)) = pool {
+                // A sibling failed, so the run is lost: stop here rather
+                // than finish a task that may be the rest of the tree.
+                if pool.is_poisoned() {
+                    return Ok(());
+                }
                 if pool.wants_work(w) {
                     hand_out(&h, &mut frames, pool, w);
                 }
@@ -1530,10 +1475,10 @@ mod tests {
     #[test]
     fn panicking_worker_task_propagates_without_hanging() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        // Four sessions racing on x: the branching at the reads builds a
-        // frontier wider than the seeding target (2 workers x 8 tasks)
-        // well before any branch completes, so the panic fires inside a
-        // worker thread, not in the seeding pass.
+        // Four sessions racing on x. Every complete history panics, so the
+        // panic fires on worker 0 (the calling thread) or on the helper it
+        // handed work to, whichever reaches one first; either way the
+        // other worker must exit.
         let p = program(
             (0..4)
                 .map(|k| {
@@ -1857,6 +1802,23 @@ mod tests {
             };
             assert_eq!(fingerprints(got), fingerprints(&serial));
         }
+    }
+
+    /// A worker stops at its next move once the pool is poisoned: a failed
+    /// sibling has lost the run, and worker 0's task is the whole tree.
+    #[test]
+    fn a_poisoned_pool_stops_the_traversal_at_the_next_move() {
+        let p = fig12_program();
+        let config = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency);
+        let serial = run(&p, config.clone());
+        let pool = StealPool::new(2);
+        pool.poison();
+        let mut worker = Explorer::new(&p, &config, None);
+        let root = OrderedHistory::new(initial_history(&p, &mut worker.vars));
+        worker.explore(root, Some((&pool, 0))).unwrap();
+        assert!(worker.report.explore_calls < serial.explore_calls);
+        assert_eq!(worker.report.end_states, 0, "no complete history");
+        assert!(serial.end_states > 0);
     }
 
     /// Regression test for the `ValidWrites` trial protocol: the candidate

@@ -6,13 +6,15 @@
 //! partition of the root frontier starves every worker but one. The
 //! [`StealPool`] fixes the imbalance dynamically:
 //!
-//! * **Tasks are subtree roots.** A worker explores each task it pops to
+//! * **Tasks are subtree roots.** A worker explores each task it takes to
 //!   the end, in place on the task's history, exactly like the serial
-//!   explorer. It materialises children as tasks of their own only to
-//!   hand work out: in the seeding pass, and when [`wants_work`] says a
-//!   sibling is idle while the worker's own deque is empty. It then
-//!   hands out the untried children of the shallowest node on its path:
-//!   the roots of the largest subtrees it has not entered.
+//!   explorer. The first task is the root of the whole tree, which worker
+//!   0 [`hold`]s instead of queueing; every other worker starts idle. A
+//!   worker materialises children as tasks of their own only to hand
+//!   work out, when [`wants_work`] says a sibling is idle while the
+//!   worker's own deque is empty. It then hands out the untried children
+//!   of the shallowest node on its path: the roots of the largest
+//!   subtrees it has not entered.
 //! * **Per-worker LIFO deques.** Each worker owns a `Mutex`-guarded
 //!   [`VecDeque`]. The owner pushes at the *back* and pops from the
 //!   *back*; thieves take from the *front*, where the oldest, shallowest
@@ -22,12 +24,12 @@
 //!   [`enter_idle`]s before backing off and [`leave_idle`]s once it finds
 //!   work; busy workers read the count to decide when to hand work out.
 //! * **Termination detection.** A task is *in flight* from the moment it
-//!   is seeded or pushed until its owner finishes processing it; tasks
-//!   handed out are counted *before* the task they came from is finished,
-//!   so the atomic in-flight counter never touches zero while any work
-//!   exists. A worker that finds nothing to pop or steal and sees the
-//!   counter at zero can safely exit; until then it backs off (a few
-//!   spin-yields, then short sleeps).
+//!   is held, seeded or pushed until its owner finishes processing it;
+//!   tasks handed out are counted *before* the task they came from is
+//!   finished, so the atomic in-flight counter never touches zero while
+//!   any work exists. A worker that finds nothing to pop or steal and
+//!   sees the counter at zero can safely exit; until then it backs off (a
+//!   few spin-yields, then short sleeps).
 //!
 //! The pool schedules; it never inspects tasks. Since every node of the
 //! tree is explored by exactly one worker no matter how tasks migrate,
@@ -35,7 +37,7 @@
 //! sets) are bit-identical to a serial run.
 //!
 //! * **Panic safety.** The in-flight counter only reaches zero if every
-//!   popped task is [`finish_task`]ed — a worker that panics mid-task
+//!   task taken is [`finish_task`]ed — a worker that panics mid-task
 //!   would leave the count permanently positive and its siblings spinning
 //!   in [`Backoff`] forever. A worker that catches a task panic must
 //!   therefore call [`finish_task`] for the doomed task and [`poison`]
@@ -43,6 +45,7 @@
 //!   exit instead of waiting for a count that can no longer drain.
 //!
 //! [`finish_task`]: StealPool::finish_task
+//! [`hold`]: StealPool::hold
 //! [`poison`]: StealPool::poison
 //! [`is_poisoned`]: StealPool::is_poisoned
 //! [`wants_work`]: StealPool::wants_work
@@ -59,7 +62,7 @@ pub struct StealPool<T> {
     /// One deque per worker: owner pushes/pops at the back, thieves take
     /// from the front.
     queues: Vec<Mutex<VecDeque<T>>>,
-    /// Tasks seeded or pushed but not yet finished. Zero means the
+    /// Tasks held, seeded or pushed but not yet finished. Zero means the
     /// exploration is complete.
     in_flight: AtomicUsize,
     /// Total tasks migrated by steals.
@@ -93,9 +96,8 @@ impl<T> StealPool<T> {
         self.queues.len()
     }
 
-    /// Distributes the initial frontier round-robin across the deques (the
-    /// seeding pass is only the initial distribution — stealing rebalances
-    /// from there) and starts the in-flight accounting.
+    /// Distributes initial tasks round-robin across the deques (stealing
+    /// rebalances from there) and counts them in flight.
     pub fn seed<I: IntoIterator<Item = T>>(&self, tasks: I) {
         let mut count = 0usize;
         for (k, task) in tasks.into_iter().enumerate() {
@@ -106,6 +108,15 @@ impl<T> StealPool<T> {
             count += 1;
         }
         self.in_flight.fetch_add(count, Ordering::SeqCst);
+    }
+
+    /// Counts one task in flight that its caller holds instead of
+    /// queueing it, so no sibling can steal it before the caller starts on
+    /// it: worker 0 of a parallel exploration holds the root this way. The
+    /// caller [`finish_task`](StealPool::finish_task)s it like a popped
+    /// task.
+    pub fn hold(&self) {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Pops the task worker `w` pushed last (LIFO).
@@ -127,8 +138,8 @@ impl<T> StealPool<T> {
             .fetch_add(queue.len() - before, Ordering::SeqCst);
     }
 
-    /// Marks one popped task as fully processed (the tasks it handed out,
-    /// if any, were already registered via [`push_children`]).
+    /// Marks one popped or held task as fully processed (the tasks it
+    /// handed out, if any, were already registered via [`push_children`]).
     ///
     /// [`push_children`]: StealPool::push_children
     pub fn finish_task(&self) {
@@ -188,7 +199,7 @@ impl<T> StealPool<T> {
             && self.queues[w].lock().expect("steal deque lock").is_empty()
     }
 
-    /// Whether every seeded or pushed task has been finished. Only
+    /// Whether every held, seeded or pushed task has been finished. Only
     /// meaningful as an exit check after [`pop_local`] and
     /// [`steal_into`] both came up empty: tasks in flight elsewhere may
     /// still spawn children.
@@ -204,19 +215,19 @@ impl<T> StealPool<T> {
         self.steals.load(Ordering::Relaxed)
     }
 
-    /// Marks the pool as dead after a worker panicked mid-task. The
-    /// panicking worker must also [`finish_task`](StealPool::finish_task)
-    /// the task it was processing (its children were registered before the
-    /// panic or not at all, and it will never reach the normal
-    /// `finish_task` call), then re-raise so the panic propagates through
-    /// the join.
+    /// Marks the pool as dead after a worker failed or panicked mid-task.
+    /// The worker must also [`finish_task`](StealPool::finish_task) the
+    /// task it was processing (its children were registered before the
+    /// failure or not at all); a panicking worker then re-raises so the
+    /// panic propagates through the join.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
     }
 
-    /// Whether a worker died mid-task. Surviving workers check this at the
-    /// top of their loop and exit instead of backing off: with a task lost
-    /// to a panic, the in-flight count may never reach zero again.
+    /// Whether a worker failed or died mid-task. Surviving workers check
+    /// this at the top of their loop and exit instead of backing off: the
+    /// run is lost, and with a task lost to a panic the in-flight count may
+    /// never reach zero again.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
@@ -304,6 +315,21 @@ mod tests {
         for _ in 0..3 {
             pool.finish_task();
         }
+        assert!(pool.is_done());
+    }
+
+    #[test]
+    fn a_held_task_is_in_flight_but_cannot_be_stolen() {
+        let pool: StealPool<u32> = StealPool::new(2);
+        pool.hold();
+        assert_eq!(pool.steal_into(1), 0, "the held task is in no deque");
+        assert!(!pool.is_done(), "held tasks are in flight until finished");
+        pool.push_children(0, [1]);
+        pool.finish_task();
+        assert!(!pool.is_done(), "its handed-out child is still queued");
+        assert_eq!(pool.steal_into(1), 1);
+        assert_eq!(pool.pop_local(1), Some(1));
+        pool.finish_task();
         assert!(pool.is_done());
     }
 

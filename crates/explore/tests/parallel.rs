@@ -5,6 +5,7 @@
 //! be bit-identical to a serial run.
 
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 use txdpor_apps::workload::{client_program, App, WorkloadConfig};
 use txdpor_explore::{explore, explore_with_assertion, AssertionCtx, ExploreConfig};
@@ -129,10 +130,10 @@ fn parallel_matches_serial_with_indexed_globals() {
 }
 
 /// Each worker meets tpcc's dynamically indexed `order[oid]` rows in its
-/// own order. With a numbering per worker, stolen nodes and shared
-/// verdict-memo keys would mix two numberings: a run stops with a replay
-/// mismatch or loses a few explore calls. The race needs real interleaving
-/// and does not fire on every run, so the case repeats.
+/// own order. With a numbering per worker, handed-out nodes would mix two
+/// numberings: a run stops with a replay mismatch or loses a few explore
+/// calls. The race needs real interleaving and does not fire on every
+/// run, so the case repeats.
 #[test]
 fn tpcc_indexed_rows_get_one_numbering_across_workers() {
     let base = client_program(&WorkloadConfig::paper_default(App::Tpcc, 4));
@@ -204,23 +205,69 @@ fn parallel_counts_assertion_violations() {
 
 #[test]
 fn worker_count_exceeding_frontier_is_safe() {
-    // More workers than tasks: the spawn is capped at the frontier size,
-    // so no thread is created just to idle.
+    // Far more workers than the tree has nodes to hand out: each helper
+    // starts, finds nothing to do and exits, and the counts are serial.
     let p = program(vec![
         session(vec![tx("w", vec![write(g("x"), cint(1))])]),
         session(vec![tx("r", vec![read("a", g("x"))])]),
     ]);
-    let report = explore(
+    let config = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency);
+    let serial = explore(&p, config.clone()).unwrap();
+    let report = explore(&p, config.with_workers(16)).unwrap();
+    assert_eq!(
+        (report.outputs, report.end_states, report.explore_calls),
+        (serial.outputs, serial.end_states, serial.explore_calls)
+    );
+    assert_eq!(report.outputs, 2);
+    assert_eq!(report.workers, 16, "the configured count is reported");
+}
+
+/// A zero budget stops every worker before its first node: worker 0 never
+/// explores the root, so no helper gets work.
+#[test]
+fn a_parallel_run_with_a_zero_budget_explores_nothing() {
+    let config = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency)
+        .with_timeout(Duration::ZERO)
+        .with_workers(2);
+    let report = explore(&long_fork(), config).unwrap();
+    assert!(report.timed_out);
+    assert_eq!(report.explore_calls, 0);
+    assert_eq!(report.outputs, 0);
+}
+
+/// A budget that is never spent explores in parallel exactly what a
+/// serial run without a budget does: the helpers copy worker 0's budget,
+/// and reading its clock only changes when a spent budget is noticed.
+#[test]
+fn a_parallel_run_with_a_generous_timeout_gives_the_serial_counts() {
+    let p = client_program(&WorkloadConfig {
+        app: App::ShoppingCart,
+        sessions: 3,
+        transactions_per_session: 3,
+        seed: 1,
+    });
+    let config = ExploreConfig::explore_ce(IsolationLevel::CausalConsistency);
+    let serial = explore(&p, config.clone().collecting_histories()).unwrap();
+    let parallel = explore(
         &p,
-        ExploreConfig::explore_ce(IsolationLevel::CausalConsistency).with_workers(16),
+        config
+            .collecting_histories()
+            .with_timeout(Duration::from_secs(3600))
+            .with_workers(2),
     )
     .unwrap();
-    assert_eq!(report.outputs, 2);
-    assert!(
-        report.workers <= 16,
-        "never more workers than requested, got {}",
-        report.workers
+    assert!(!parallel.timed_out);
+    assert_eq!(
+        (
+            parallel.outputs,
+            parallel.end_states,
+            parallel.explore_calls
+        ),
+        (serial.outputs, serial.end_states, serial.explore_calls)
     );
+    assert_eq!(parallel.blocked, serial.blocked);
+    assert_eq!(parallel.statically_pruned, serial.statically_pruned);
+    assert_eq!(fingerprints(&parallel), fingerprints(&serial));
 }
 
 /// The starvation workload that motivated work stealing: one session with

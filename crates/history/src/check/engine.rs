@@ -89,12 +89,10 @@
 //! commit-order search) likewise survive arbitrarily many
 //! checkpoint/rollback cycles of the histories they are fed.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::check::evidence::{self, Verdict, Witness};
 use crate::check::mixed;
-use crate::check::shared::SharedMemo;
 use crate::history::{History, HistoryDelta};
 use crate::isolation::{IsolationLevel, LevelSpec};
 
@@ -144,9 +142,9 @@ pub struct EngineStats {
     /// miss could not sync incrementally; the causes sum to
     /// `full_rebuilds`.
     pub rebuild_causes: RebuildCauses,
-    /// Memo hits served by the cross-worker [`SharedMemo`] (a subset of
-    /// `memo_hits`): verdicts another worker published first. Zero for
-    /// serial runs and engines without an attached shared memo.
+    /// Always zero: engines share no verdicts. The field is kept only
+    /// because the benchmark still reports it as
+    /// `history.check.shared_memo_hits`, and goes when that metric does.
     pub shared_memo_hits: u64,
     /// Estimated nanoseconds spent deciding memo misses (sync + decision
     /// procedure) and witness passes, measured on the thread running the
@@ -323,13 +321,6 @@ pub trait ConsistencyChecker: Send {
     /// 16-byte memo slots never store evidence.
     fn check_witnessed(&mut self, h: &History) -> Verdict;
 
-    /// Attaches a cross-worker [`SharedMemo`]: the engine consults it
-    /// before its private memo and publishes every fresh verdict to it,
-    /// keyed by `live_hash ⊕ spec_hash` so verdicts decided under one spec
-    /// are never served for another. The default is a no-op — engines
-    /// without a memo (or with memoisation disabled) simply ignore it.
-    fn attach_shared_memo(&mut self, _memo: Arc<SharedMemo>) {}
-
     /// Counters accumulated since creation (or the last [`reset`]).
     ///
     /// [`reset`]: ConsistencyChecker::reset
@@ -389,10 +380,6 @@ struct Memo {
     slots: Vec<(u64, u64)>,
     occupied: usize,
     enabled: bool,
-    /// Cross-worker verdict table consulted before the private slots (and
-    /// published to on every insert), under the same keys. `None` outside
-    /// parallel exploration.
-    shared: Option<Arc<SharedMemo>>,
     /// The engine's counters: the memo's own, plus the sync split and the
     /// deciding time that [`Engine::check`] adds.
     stats: EngineStats,
@@ -404,7 +391,6 @@ impl Memo {
             slots: Vec::new(),
             occupied: 0,
             enabled,
-            shared: None,
             stats: EngineStats::default(),
         }
     }
@@ -412,21 +398,12 @@ impl Memo {
     /// Looks up a key (the history's [`History::live_hash`] folded with
     /// the engine's spec hash), returning either the memoised
     /// verdict or the key to insert the freshly computed verdict under
-    /// (`None` when memoisation is disabled). The shared cross-worker
-    /// table, when attached, is consulted before the private slots — a
-    /// sibling worker may have decided this history already.
+    /// (`None` when memoisation is disabled).
     fn lookup(&mut self, key: (u64, u64)) -> Result<bool, Option<(u64, u64)>> {
         self.stats.checks += 1;
         if !self.enabled {
             self.stats.memo_misses += 1;
             return Err(None);
-        }
-        if let Some(shared) = &self.shared {
-            if let Some(v) = shared.lookup(key) {
-                self.stats.memo_hits += 1;
-                self.stats.shared_memo_hits += 1;
-                return Ok(v);
-            }
         }
         if !self.slots.is_empty() {
             let (k0, k1v) = self.slots[key.0 as usize & (self.slots.len() - 1)];
@@ -441,9 +418,6 @@ impl Memo {
 
     fn insert(&mut self, key: Option<(u64, u64)>, verdict: bool) {
         let Some(key) = key else { return };
-        if let Some(shared) = &self.shared {
-            shared.publish(key, verdict);
-        }
         if self.slots.is_empty() {
             self.slots.resize(MEMO_INITIAL_SLOTS, (0, 0));
         } else if self.occupied * 2 >= self.slots.len() && self.slots.len() < MEMO_CAPACITY {
@@ -605,7 +579,7 @@ impl ConsistencyChecker for TrivialEngine {
 ///
 /// The memo key folds [`LevelSpec::spec_hash`] into the history's rolling
 /// hash, so a verdict memoised under one spec can never be served for
-/// another, in the private memo or in an attached [`SharedMemo`].
+/// another.
 #[derive(Debug)]
 pub struct Engine {
     spec: LevelSpec,
@@ -673,10 +647,6 @@ impl ConsistencyChecker for Engine {
             }
         }
         evidence::reconstruct(h, &self.spec)
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        self.memo.shared = Some(memo);
     }
 
     fn stats(&self) -> EngineStats {
@@ -899,74 +869,6 @@ mod tests {
         assert!(!strict.check(&h));
         assert!(lenient.check(&h));
         assert!(!strict.check(&h));
-    }
-
-    #[test]
-    fn shared_memo_serves_cross_engine_hits() {
-        // Worker A decides a history; worker B's fresh engine (cold
-        // private memo) gets the verdict from the shared table.
-        let h = lost_update();
-        let shared = Arc::new(SharedMemo::new(2));
-        for level in IsolationLevel::ALL {
-            let mut a = engine_for(level);
-            let mut b = engine_for(level);
-            a.attach_shared_memo(Arc::clone(&shared));
-            b.attach_shared_memo(Arc::clone(&shared));
-            let verdict = a.check(&h);
-            assert_eq!(a.stats().shared_memo_hits, 0, "{level}: A decided fresh");
-            assert_eq!(b.check(&h), verdict);
-            let sb = b.stats();
-            if level == IsolationLevel::Trivial {
-                continue; // no memo at all
-            }
-            assert_eq!(sb.memo_hits, 1, "{level}: B should hit");
-            assert_eq!(sb.shared_memo_hits, 1, "{level}: B's hit came from A");
-            assert_eq!(sb.memo_misses, 0);
-        }
-    }
-
-    #[test]
-    fn shared_memo_keys_are_spec_disjoint() {
-        // Same history, same shared table, different levels/specs: the
-        // folded spec hash must keep every verdict on its own key. SER
-        // rejects the lost update while RC accepts it, so a key collision
-        // would flip one of the answers.
-        let h = lost_update();
-        let shared = Arc::new(SharedMemo::new(2));
-        let mut ser = engine_for(IsolationLevel::Serializability);
-        let mut rc = engine_for(IsolationLevel::ReadCommitted);
-        ser.attach_shared_memo(Arc::clone(&shared));
-        rc.attach_shared_memo(Arc::clone(&shared));
-        assert!(!ser.check(&h));
-        assert!(rc.check(&h));
-        assert_eq!(rc.stats().shared_memo_hits, 0, "RC must not see SER's key");
-        // Another engine for the same uniform SER spec shares SER's key
-        // (`live_hash ⊕ spec_hash`), so it *does* hit SER's entry.
-        let mut other = engine_for(IsolationLevel::Serializability);
-        other.attach_shared_memo(Arc::clone(&shared));
-        assert!(!other.check(&h));
-        assert_eq!(
-            other.stats().shared_memo_hits,
-            1,
-            "engines of one spec share their keys"
-        );
-    }
-
-    #[test]
-    fn disabled_memo_skips_the_shared_table() {
-        // The `no-memo` ablation must reproduce the stateless cost model:
-        // nothing read from or published to the shared table.
-        let h = lost_update();
-        let shared = Arc::new(SharedMemo::new(2));
-        let mut off = engine_for_with(IsolationLevel::CausalConsistency, false);
-        off.attach_shared_memo(Arc::clone(&shared));
-        let verdict = off.check(&h);
-        assert_eq!(off.stats().shared_memo_hits, 0);
-        // Nothing was published: a memoised engine still decides fresh.
-        let mut on = engine_for(IsolationLevel::CausalConsistency);
-        on.attach_shared_memo(shared);
-        assert_eq!(on.check(&h), verdict);
-        assert_eq!(on.stats().shared_memo_hits, 0, "no-memo engine published");
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod mixed;
 mod pc;
 #[cfg(test)]
 mod ser;
-pub mod shared;
 #[cfg(test)]
 mod si;
 pub(crate) mod weak;
@@ -46,7 +45,6 @@ pub use engine::{
 };
 pub use evidence::{AxiomInstance, EdgeReason, Verdict, Violation, ViolationEdge, Witness};
 pub use mixed::satisfies_spec;
-pub use shared::SharedMemo;
 
 /// Whether the history satisfies the isolation level (Definition 2.2).
 ///

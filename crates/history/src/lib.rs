@@ -79,8 +79,8 @@ pub mod value;
 pub use arena::TxSet;
 pub use check::{
     engine_for, engine_for_spec, engine_for_spec_with, engine_for_with, satisfies_spec,
-    AxiomInstance, ConsistencyChecker, EdgeReason, Engine, EngineStats, RebuildCauses, SharedMemo,
-    Verdict, Violation, ViolationEdge, Witness,
+    AxiomInstance, ConsistencyChecker, EdgeReason, Engine, EngineStats, RebuildCauses, Verdict,
+    Violation, ViolationEdge, Witness,
 };
 pub use event::{Event, EventId, EventKind};
 pub use history::{
